@@ -145,8 +145,7 @@ ExactResult solve_exact(const TdInstance& instance, const TdSolution& upper_boun
   for (const auto& members : instance.set_members) {
     max_cover = std::max(max_cover, static_cast<std::int64_t>(members.size()));
   }
-  std::int64_t lo = std::max({max_deficit, (total_deficit + max_cover - 1) / max_cover,
-                              options.min_total});
+  std::int64_t lo = std::max(max_deficit, (total_deficit + max_cover - 1) / max_cover);
   std::int64_t hi = upper_bound.total;
 
   CoverSearch search(instance, options, result);

@@ -22,18 +22,20 @@ namespace lid::core {
 struct ExactOptions {
   /// Wall-clock budget; <= 0 means unlimited.
   double timeout_ms = 0.0;
-  /// Hard cap on explored search nodes; 0 means unlimited. Checked at every
-  /// node, so a cut-off lands on exactly max_nodes explored — deterministic
-  /// regardless of machine speed.
+  /// Hard cap on search work; 0 means unlimited. solve_exact charges one
+  /// unit per search node and checks at every node, so its cut-off lands on
+  /// exactly max_nodes. solve_exact_milp (exact_milp.hpp, the lazy sizer's
+  /// sub-solve) charges one unit per branch-and-bound node plus one per
+  /// tableau cell a simplex pivot rewrites — an LP node does far more
+  /// arithmetic than a unit-token node, and more the deeper it sits — and
+  /// checks before every pivot, so its charged work never passes max_nodes.
+  /// Either way the cut-off point is a pure function of the instance, never
+  /// of machine speed.
   std::int64_t max_nodes = 0;
   /// Cooperative cancellation (request deadline, server drain). Polled at
-  /// iteration boundaries; the default token never cancels.
+  /// iteration boundaries (solve_exact) or at every node (solve_exact_milp);
+  /// the default token never cancels.
   util::CancelToken cancel;
-  /// Caller-known lower bound on the optimal total (0 = none). The binary
-  /// search starts no lower than this. Must be a genuine lower bound; the
-  /// lazy sizing driver passes the previous iteration's proven optimum,
-  /// which stays valid because its constraint set only grows.
-  std::int64_t min_total = 0;
 };
 
 /// Outcome of an exact solve.
@@ -47,7 +49,9 @@ struct ExactResult {
   /// external cancel) — lets callers distinguish "out of budget" from
   /// "caller gave up" and report partial progress.
   bool cancelled = false;
-  /// Search nodes explored across all probes.
+  /// Work charged against max_nodes: search nodes across all probes
+  /// (solve_exact), or nodes plus tableau cells rewritten by simplex pivots
+  /// (solve_exact_milp).
   std::int64_t nodes_explored = 0;
   /// Wall time spent.
   double elapsed_ms = 0.0;

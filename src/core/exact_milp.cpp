@@ -31,11 +31,15 @@ ExactResult solve_exact_milp(const TdInstance& instance, const TdSolution& upper
                       util::Rational(instance.deficits[c]));
   }
 
+  // The caller's feasible point seeds the incumbent, so an upper bound that
+  // meets the rounded root LP bound ends the search at the root.
   milp::IlpOptions ilp_options;
   ilp_options.timeout_ms = options.timeout_ms;
   ilp_options.max_nodes = options.max_nodes;
+  ilp_options.cancel = options.cancel;
+  ilp_options.incumbent = upper_bound.weights;
   const milp::IlpResult ilp = milp::solve_ilp(lp, ilp_options);
-  result.nodes_explored = ilp.nodes;
+  result.nodes_explored = ilp.charged();
   result.elapsed_ms = timer.elapsed_ms();
 
   switch (ilp.status) {
@@ -51,6 +55,7 @@ ExactResult solve_exact_milp(const TdInstance& instance, const TdSolution& upper
     }
     case milp::IlpResult::Status::kCutOff:
       result.cut_off = true;
+      result.cancelled = ilp.cancelled;
       return result;
     case milp::IlpResult::Status::kInfeasible:
     case milp::IlpResult::Status::kUnbounded:

@@ -7,9 +7,12 @@
 //     subject to Σ_{s ∋ c} w_s >= deficit(c)   for every cycle c,
 //                w integral, w >= 0,
 //
-// solved with the exact-rational branch-and-bound ILP of src/milp. Exists to
-// make the paper's methodological comparison concrete; agrees with the
-// combinatorial exact solvers everywhere.
+// solved with the exact-rational branch-and-bound ILP of src/milp. It makes
+// the paper's methodological comparison concrete and agrees with the
+// combinatorial exact solvers everywhere. It is also the lazy sizer's
+// per-round sub-solve (lazy_sizing.hpp): on its few dozen cycles with
+// deficits in the hundreds, the LP bound proves optimality where the unit-
+// token search of exact.hpp would need a tree as deep as the optimum.
 #pragma once
 
 #include "core/exact.hpp"
@@ -18,7 +21,10 @@
 namespace lid::core {
 
 /// Solves the TD instance via the MILP formulation. Same contract as
-/// solve_exact(); `upper_bound` is used only as a sanity check.
+/// solve_exact(), except that `upper_bound` seeds the incumbent (the search
+/// stops once it meets the rounded root LP bound) and `nodes_explored`
+/// counts branch-and-bound nodes plus the tableau cells simplex pivots
+/// rewrite — the work `options.max_nodes` budgets (see ExactOptions).
 ExactResult solve_exact_milp(const TdInstance& instance, const TdSolution& upper_bound,
                              const ExactOptions& options = {});
 

@@ -7,15 +7,23 @@
 #include "util/check.hpp"
 
 namespace lid::core {
-namespace {
 
-/// The paper's decrement sweep, shared by the cold and warm entry points.
-/// `solution.weights` must hold a feasible assignment on entry; on exit it is
-/// a (weakly) smaller feasible assignment with `total` filled in.
-void decrement_sweep(const TdInstance& instance, const HeuristicOptions& options,
-                     TdSolution& solution) {
+TdSolution solve_heuristic(const TdInstance& instance, const HeuristicOptions& options) {
   const std::size_t n_sets = instance.num_sets();
   const std::size_t n_cycles = instance.num_cycles();
+
+  TdSolution solution;
+  solution.weights.assign(n_sets, 0);
+
+  // Initial assignment: each set carries the maximal deficit of its cycles.
+  // This is feasible by construction (every cycle has at least one set).
+  for (std::size_t s = 0; s < n_sets; ++s) {
+    std::int64_t w = 0;
+    for (const int c : instance.set_members[s]) {
+      w = std::max(w, instance.deficits[static_cast<std::size_t>(c)]);
+    }
+    solution.weights[s] = w;
+  }
 
   // covered[c] = current total weight over c's covering sets.
   std::vector<std::int64_t> covered(n_cycles, 0);
@@ -73,72 +81,6 @@ void decrement_sweep(const TdInstance& instance, const HeuristicOptions& options
   solution.total = std::accumulate(solution.weights.begin(), solution.weights.end(),
                                    std::int64_t{0});
   LID_ASSERT(instance.is_feasible(solution.weights), "heuristic produced an infeasible solution");
-}
-
-}  // namespace
-
-TdSolution solve_heuristic(const TdInstance& instance, const HeuristicOptions& options) {
-  const std::size_t n_sets = instance.num_sets();
-
-  TdSolution solution;
-  solution.weights.assign(n_sets, 0);
-
-  // Initial assignment: each set carries the maximal deficit of its cycles.
-  // This is feasible by construction (every cycle has at least one set).
-  for (std::size_t s = 0; s < n_sets; ++s) {
-    std::int64_t w = 0;
-    for (const int c : instance.set_members[s]) {
-      w = std::max(w, instance.deficits[static_cast<std::size_t>(c)]);
-    }
-    solution.weights[s] = w;
-  }
-
-  decrement_sweep(instance, options, solution);
-  return solution;
-}
-
-TdSolution solve_heuristic_incremental(const TdInstance& instance,
-                                       const std::vector<std::int64_t>& prev_weights,
-                                       const HeuristicOptions& options) {
-  const std::size_t n_sets = instance.num_sets();
-  LID_ENSURE(prev_weights.size() <= n_sets,
-             "solve_heuristic_incremental: previous solution has more sets than the instance");
-
-  TdSolution solution;
-  solution.weights.assign(n_sets, 0);
-  std::copy(prev_weights.begin(), prev_weights.end(), solution.weights.begin());
-  // Sets the previous solve never saw start at their max member deficit,
-  // exactly like the cold initial assignment.
-  for (std::size_t s = prev_weights.size(); s < n_sets; ++s) {
-    std::int64_t w = 0;
-    for (const int c : instance.set_members[s]) {
-      w = std::max(w, instance.deficits[static_cast<std::size_t>(c)]);
-    }
-    solution.weights[s] = w;
-  }
-
-  // Repair: a cycle that arrived after the previous solve may still be
-  // under-covered when only old sets cover it. Dump each shortfall on the
-  // cycle's first covering set (the sweep will redistribute).
-  std::vector<std::int64_t> covered(instance.num_cycles(), 0);
-  for (std::size_t s = 0; s < n_sets; ++s) {
-    for (const int c : instance.set_members[s]) {
-      covered[static_cast<std::size_t>(c)] += solution.weights[s];
-    }
-  }
-  const std::vector<std::vector<int>> covering = instance.covering_sets();
-  for (std::size_t c = 0; c < instance.num_cycles(); ++c) {
-    const std::int64_t shortfall = instance.deficits[c] - covered[c];
-    if (shortfall <= 0) continue;
-    LID_ENSURE(!covering[c].empty(), "solve_heuristic_incremental: uncoverable cycle");
-    const auto s = static_cast<std::size_t>(covering[c].front());
-    solution.weights[s] += shortfall;
-    for (const int member : instance.set_members[s]) {
-      covered[static_cast<std::size_t>(member)] += shortfall;
-    }
-  }
-
-  decrement_sweep(instance, options, solution);
   return solution;
 }
 

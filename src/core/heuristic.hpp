@@ -23,15 +23,6 @@ struct HeuristicOptions {
 /// Runs the heuristic on a TD instance; the result is always feasible.
 TdSolution solve_heuristic(const TdInstance& instance, const HeuristicOptions& options = {});
 
-/// Warm-started variant for incremental drivers (lazy constraint generation):
-/// seeds the sweep from a solution of a previous sub-instance whose sets are
-/// a prefix of this instance's (stable indices), initialises newer sets at
-/// their max member deficit, repairs any cycle the seed leaves under-covered,
-/// then runs the same decrement sweep. Always feasible.
-TdSolution solve_heuristic_incremental(const TdInstance& instance,
-                                       const std::vector<std::int64_t>& prev_weights,
-                                       const HeuristicOptions& options = {});
-
 /// An alternative heuristic: solve the LP relaxation of the covering program
 /// exactly (rational simplex) and round every weight up. Always feasible
 /// (ceiling a fractional cover keeps every constraint satisfied) and at most

@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "core/exact_milp.hpp"
 #include "core/heuristic.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -53,10 +54,10 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
   report.problem.theta_target = (options.build.target_mst > Rational(0))
                                     ? Rational::min(options.build.target_mst, theta_ideal)
                                     : theta_ideal;
-  report.sized = lis;
   report.lazy = LazyStats{};
 
   if (!report.problem.has_degradation()) {
+    report.sized = lis;
     report.achieved_mst = theta_practical;
     report.exact = SolverOutcome{{}, 0, 0.0, true};
     return report;
@@ -158,12 +159,12 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
     // are valid in the pristine d[G] — record it as certificate evidence.
     if (!build_target.collapsed_used) report.lazy_cycles.push_back(critical.cycle);
 
-    // Re-solve: warm heuristic upper bound, then exact with the previous
-    // optimum as a lower bound (valid — the constraint set only grew).
-    const TdSolution upper = solve_heuristic_incremental(td, weights, options.heuristic);
-    ExactOptions exact_options = options.exact;
-    exact_options.min_total = proven_total;
-    const ExactResult solved = solve_exact(td, upper, exact_options);
+    // Re-solve on the paper's simplified sub-instance: the reductions commit
+    // the forced tokens, and the heuristic seeds the LP branch and bound's
+    // incumbent on what is left.
+    const SimplifiedTd simplified = simplify(td, options.simplify_options);
+    const ExactResult solved = solve_exact_milp(
+        simplified.reduced, solve_heuristic(simplified.reduced, options.heuristic), options.exact);
     nodes_explored += solved.nodes_explored;
     if (solved.cancelled) {
       report.problem.cancelled = true;
@@ -176,8 +177,10 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
       // function of the request.
       return run_fallback(lis, theta_ideal, theta_practical, options, stats);
     }
-    weights = solved.solution->weights;
-    proven_total = solved.solution->total;
+    TdSolution full = simplified.lift(*solved.solution);
+    LID_ASSERT(td.is_feasible(full.weights), "lazy sub-solve infeasible on the sub-instance");
+    weights = std::move(full.weights);
+    proven_total = full.total;
 
     // Re-marking: every sized queue gets pristine tokens + its weight.
     for (std::size_t s = 0; s < weights.size(); ++s) {

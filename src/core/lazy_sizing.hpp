@@ -8,13 +8,24 @@
 // Howard's policy iteration on the (possibly SCC-collapsed) doubled graph,
 // and while the achieved MST falls short of the target it adds exactly one
 // constraint — the token deficit of the critical cycle Howard already
-// produced — re-solves the tiny covering instance (warm-started heuristic
-// upper bound + exact branch-and-bound with a monotone lower bound), applies
-// the weights to the marking, and repeats. Each added constraint is violated
-// by the current weights, so no cycle repeats and the loop converges; at
+// produced — re-solves the small covering instance, applies the weights to
+// the marking, and repeats. Each added constraint is violated by the
+// current weights, so no cycle repeats and the loop converges; at
 // convergence the sub-instance optimum equals the full-enumeration optimum
 // (the solution is feasible for every cycle — Howard certifies the target —
 // and the full optimum is bounded below by any sub-instance optimum).
+//
+// The sub-solve: the paper's reductions (token_deficit.hpp) shrink the
+// sub-instance, the paper's heuristic seeds an incumbent on what is left,
+// and the LP branch and bound of exact_milp.hpp proves the optimum, stopping
+// as soon as the incumbent meets ⌈root LP⌉. Why not the paper's exact
+// search (exact.hpp): it places one token per tree level, and at 10^5 cores
+// a round reaches deficits in the hundreds over a few dozen cycles — a tree
+// hundreds deep that it cannot close, while the LP bound closes each such
+// round in at most 0.2 s (EXPERIMENTS.md, "Certified sizing at 10^5-core
+// scale").
+// Deficits, the recorded cycles and the certificate's constraint section
+// stay over the unsimplified sub-instance.
 //
 // The separation oracle is warm-started: marking perturbations between
 // rounds reuse the previous Howard policy via mg::Workspace, so a re-solve

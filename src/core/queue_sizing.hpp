@@ -55,7 +55,9 @@ struct QsOptions {
   SimplifyOptions simplify_options;
   HeuristicOptions heuristic;
   ExactOptions exact;
-  /// Re-verify the final MST on the sized netlist (cheap; on by default).
+  /// Re-verify the final MST on the sized netlist (one Howard solve; on by
+  /// default). The facade turns it off for certified sizings, whose
+  /// post-sizing witness proves the same MST.
   bool verify = true;
 };
 
@@ -70,7 +72,8 @@ struct SolverOutcome {
   /// Exact solver only: true when the cancel token (not the node/time
   /// budget) ended the search.
   bool cancelled = false;
-  /// Exact solver only: search nodes explored — partial-progress evidence
+  /// Exact solver only: work charged against ExactOptions::max_nodes
+  /// (summed over the lazy solver's sub-solves) — partial-progress evidence
   /// when the solve was cut off or cancelled.
   std::int64_t nodes_explored = 0;
 };
@@ -81,7 +84,7 @@ struct QsReport {
   std::optional<SolverOutcome> heuristic;
   std::optional<SolverOutcome> exact;
   /// The sized netlist from the best available solution (exact when finished,
-  /// else heuristic).
+  /// else heuristic). Empty when the lazy driver was cancelled.
   lis::LisGraph sized;
   /// MST of `sized` (filled when options.verify).
   util::Rational achieved_mst;

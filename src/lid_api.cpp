@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/certify.hpp"
 #include "core/diagnostics.hpp"
@@ -89,6 +90,9 @@ core::QsOptions qs_options_from(const SizeQueuesOptions& options) {
   qs.build.max_cycles = options.max_cycles;
   qs.build.target_mst = options.target;
   qs.build.cancel = options.cancel;
+  // A certified sizing reads the achieved MST off the certificate's
+  // post-sizing witness (sizing_from_report), so skip the solver's re-check.
+  qs.verify = !options.certify;
   return qs;
 }
 
@@ -101,9 +105,21 @@ Result<Sizing> sizing_from_report(const lis::LisGraph& lis, const core::QsReport
   }
 
   Sizing sizing;
+  // Certify before copying the sized netlist into the result: at 10^5 cores
+  // the copy would sit idle through the certificate's evidence passes.
+  if (options.certify) {
+    verify::Certificate certificate = core::certify_sizing(lis, report);
+    const verify::McmWitness& achieved = certificate.achieved;
+    sizing.achieved = achieved.acyclic ? util::Rational(1)
+                                       : util::Rational::min(util::Rational(1), achieved.theta);
+    LID_ENSURE(sizing.achieved.num() != 0,
+               "size_queues: token-free cycle (deadlocked sized netlist)");
+    sizing.certificate = std::move(certificate);
+  } else {
+    sizing.achieved = report.achieved_mst;
+  }
   sizing.theta_ideal = report.problem.theta_ideal;
   sizing.theta_practical = report.problem.theta_practical;
-  sizing.achieved = report.achieved_mst;
   sizing.degraded = report.problem.has_degradation();
   sizing.cycles_enumerated = report.problem.cycles_enumerated;
   sizing.truncated = report.problem.truncated;
@@ -134,7 +150,6 @@ Result<Sizing> sizing_from_report(const lis::LisGraph& lis, const core::QsReport
     }
   }
   sizing.sized = Instance::wrap(report.sized, original.name());
-  if (options.certify) sizing.certificate = core::certify_sizing(lis, report);
   return sizing;
 }
 

@@ -253,7 +253,9 @@ struct SizeQueuesOptions {
   /// cutoffs are load-dependent; prefer exact_max_nodes when reproducibility
   /// matters (the batch engine does).
   double exact_timeout_ms = 60'000.0;
-  /// Deterministic node budget of the exact solver; 0 means unlimited.
+  /// Deterministic work budget of the exact solver: search nodes, plus the
+  /// tableau cells simplex pivots rewrite in the lazy solver's LP
+  /// sub-solves (see core::ExactOptions::max_nodes); 0 means unlimited.
   std::int64_t exact_max_nodes = 0;
   /// Cap on enumerated cycles (0 = unlimited).
   std::size_t max_cycles = 2'000'000;
@@ -300,7 +302,7 @@ struct Sizing {
   double exact_ms = 0.0;
   bool exact_proved = false;      ///< exact finished within its budget
   bool exact_cancelled = false;   ///< the cancel token ended the exact solve
-  std::int64_t exact_nodes = 0;   ///< search nodes explored (partial-progress stat)
+  std::int64_t exact_nodes = 0;   ///< work charged against exact_max_nodes
   std::size_t cycles_enumerated = 0;
   bool truncated = false;  ///< cycle enumeration hit max_cycles
   std::vector<QueueChange> changes;

@@ -12,7 +12,7 @@ using util::Rational;
 /// Dense two-phase simplex over exact rationals with Bland's rule.
 class Tableau {
  public:
-  explicit Tableau(const LinearProgram& lp) : lp_(lp) {
+  Tableau(const LinearProgram& lp, std::int64_t max_work) : lp_(lp), max_work_(max_work) {
     const std::size_t n = lp.num_variables();
     for (const Constraint& con : lp.constraints) {
       LID_ENSURE(con.coeffs.size() == n, "solve_lp: constraint width != variable count");
@@ -21,24 +21,35 @@ class Tableau {
   }
 
   LpResult solve() {
+    LpResult result = solve_phases();
+    result.work = work_;
+    return result;
+  }
+
+ private:
+  LpResult solve_phases() {
     LpResult result;
-    // Phase 1: minimize the sum of artificial variables.
+    // Phase 1: minimize the sum of artificial variables (bounded below by
+    // zero, so it cannot be unbounded).
     if (num_artificials_ > 0) {
       load_phase_cost(/*phase1=*/true);
-      run_simplex();
+      if (run_simplex() == LpResult::Status::kCutOff) {
+        result.status = LpResult::Status::kCutOff;
+        return result;
+      }
       if (objective_value() != Rational(0)) {
         result.status = LpResult::Status::kInfeasible;
         return result;
       }
-      pivot_out_artificials();
+      if (!pivot_out_artificials()) {
+        result.status = LpResult::Status::kCutOff;
+        return result;
+      }
     }
     // Phase 2: minimize the real objective, artificials banned.
     load_phase_cost(/*phase1=*/false);
-    if (!run_simplex()) {
-      result.status = LpResult::Status::kUnbounded;
-      return result;
-    }
-    result.status = LpResult::Status::kOptimal;
+    result.status = run_simplex();
+    if (result.status != LpResult::Status::kOptimal) return result;
     result.objective = objective_value();
     result.solution.assign(lp_.num_variables(), Rational(0));
     for (std::size_t i = 0; i < rows_; ++i) {
@@ -49,7 +60,6 @@ class Tableau {
     return result;
   }
 
- private:
   Rational& cell(std::size_t row, std::size_t col) { return tab_[row * stride_ + col]; }
   const Rational& cell(std::size_t row, std::size_t col) const {
     return tab_[row * stride_ + col];
@@ -153,8 +163,9 @@ class Tableau {
     return phase1_ || j < artificial_base_;
   }
 
-  /// Runs Bland-rule simplex to optimality. Returns false on unboundedness.
-  bool run_simplex() {
+  /// Runs Bland-rule simplex to optimality: kOptimal, kUnbounded, or
+  /// kCutOff when the work budget runs out.
+  LpResult::Status run_simplex() {
     for (;;) {
       // Entering: lowest-index allowed column with negative reduced cost.
       std::size_t entering = num_columns_;
@@ -164,7 +175,7 @@ class Tableau {
           break;
         }
       }
-      if (entering == num_columns_) return true;  // optimal
+      if (entering == num_columns_) return LpResult::Status::kOptimal;
       // Leaving: minimum ratio, ties by lowest basis index (Bland).
       std::size_t leaving = rows_;
       Rational best_ratio;
@@ -177,9 +188,24 @@ class Tableau {
           best_ratio = ratio;
         }
       }
-      if (leaving == rows_) return false;  // unbounded
+      if (leaving == rows_) return LpResult::Status::kUnbounded;
+      if (!charge(entering)) return LpResult::Status::kCutOff;
       pivot(leaving, entering);
     }
+  }
+
+  /// Books the cells a pivot in column `col` rewrites: the pivot row and
+  /// every other row (cost row included) with a nonzero entry in `col`.
+  /// Returns false, booking nothing, when that would pass the budget.
+  [[nodiscard]] bool charge(std::size_t col) {
+    std::int64_t rows_rewritten = 0;
+    for (std::size_t i = 0; i <= rows_; ++i) {
+      if (cell(i, col) != Rational(0)) ++rows_rewritten;
+    }
+    const auto cost = rows_rewritten * static_cast<std::int64_t>(stride_);
+    if (max_work_ > 0 && work_ + cost > max_work_) return false;
+    work_ += cost;
+    return true;
   }
 
   void pivot(std::size_t row, std::size_t col) {
@@ -201,19 +227,23 @@ class Tableau {
   /// leave it at zero if its row has no eligible pivot — the row is then a
   /// redundant constraint and keeping the artificial at zero is harmless as
   /// long as it stays banned, which a zero rhs guarantees under Bland).
-  void pivot_out_artificials() {
+  /// Returns false when the work budget runs out.
+  [[nodiscard]] bool pivot_out_artificials() {
     for (std::size_t i = 0; i < rows_; ++i) {
       if (basis_[i] < artificial_base_) continue;
       for (std::size_t j = 0; j < artificial_base_; ++j) {
         if (cell(i, j) != Rational(0)) {
+          if (!charge(j)) return false;
           pivot(i, j);
           break;
         }
       }
     }
+    return true;
   }
 
   const LinearProgram& lp_;
+  const std::int64_t max_work_;
   std::vector<Rational> tab_;
   std::vector<std::size_t> basis_;
   std::size_t rows_ = 0;
@@ -223,6 +253,7 @@ class Tableau {
   std::size_t slack_base_ = 0;
   std::size_t artificial_base_ = 0;
   std::size_t num_artificials_ = 0;
+  std::int64_t work_ = 0;
   bool phase1_ = true;
 };
 
@@ -237,7 +268,7 @@ void LinearProgram::add_constraint(std::vector<util::Rational> coeffs, Relation 
   constraints.push_back(std::move(con));
 }
 
-LpResult solve_lp(const LinearProgram& lp) {
+LpResult solve_lp(const LinearProgram& lp, std::int64_t max_work) {
   if (lp.num_variables() == 0) {
     // Degenerate: feasible iff every constraint holds with x empty.
     LpResult result;
@@ -250,7 +281,7 @@ LpResult solve_lp(const LinearProgram& lp) {
     result.status = LpResult::Status::kOptimal;
     return result;
   }
-  Tableau tableau(lp);
+  Tableau tableau(lp, max_work);
   return tableau.solve();
 }
 

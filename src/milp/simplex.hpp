@@ -9,6 +9,7 @@
 // constraints), so a dense tableau is the right tool.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "util/rational.hpp"
@@ -43,16 +44,24 @@ struct LinearProgram {
 
 /// Outcome of an LP solve.
 struct LpResult {
-  enum class Status { kOptimal, kInfeasible, kUnbounded };
+  /// kCutOff: the work budget ran out before the solve ended.
+  enum class Status { kOptimal, kInfeasible, kUnbounded, kCutOff };
   Status status = Status::kInfeasible;
   /// Optimal objective value (when kOptimal).
   util::Rational objective;
   /// Optimal assignment, one value per variable (when kOptimal).
   std::vector<util::Rational> solution;
+  /// Tableau cells rewritten by pivots across both phases. A pivot rewrites
+  /// every column of the pivot row and of each row with a nonzero entry in
+  /// the pivot column, so this counts the solve's rational arithmetic — a
+  /// machine-independent measure of its cost.
+  std::int64_t work = 0;
 };
 
-/// Solves the LP exactly. Throws std::invalid_argument on malformed input
-/// (constraint width != variable count).
-LpResult solve_lp(const LinearProgram& lp);
+/// Solves the LP exactly. `max_work` > 0 caps `work`: a pivot that would
+/// take it past the cap is not made, and the result is kCutOff; 0 means
+/// unlimited. Throws std::invalid_argument on malformed input (constraint
+/// width != variable count).
+LpResult solve_lp(const LinearProgram& lp, std::int64_t max_work = 0);
 
 }  // namespace lid::milp

@@ -112,8 +112,13 @@ struct Request {
 /// client asks for. These keep a single request from monopolizing a worker
 /// (deterministic node budgets) or exhausting memory (size limits).
 struct ExecLimits {
-  /// Hard cap on the exact-QS node budget; requests asking for more (or for
+  /// Hard cap on the exact-QS work budget (ExactOptions::max_nodes: search
+  /// nodes; for the lazy solver's LP sub-solve, nodes plus the tableau
+  /// cells its simplex pivots rewrite); requests asking for more (or for
   /// "unlimited" via 0) are clamped here, keeping responses deterministic.
+  /// An LP sub-solve that exhausts it stops after 10-20 ms of CPU on an
+  /// Intel Xeon server core (EXPERIMENTS.md, "Certified sizing at 10^5-core
+  /// scale").
   std::int64_t exact_max_nodes = 200'000;
   /// Cap on cycle enumeration during queue sizing.
   std::size_t max_cycles = 500'000;

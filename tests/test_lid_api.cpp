@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "lid_api.hpp"
 #include "lis/paper_systems.hpp"
@@ -185,6 +186,48 @@ TEST(SizeQueues, HeuristicOnlySkipsTheExactSolver) {
   ASSERT_TRUE(s.ok());
   EXPECT_GE(s->heuristic_total, 1);
   EXPECT_EQ(s->exact_total, -1);
+}
+
+TEST(SizeQueues, CertifiedMatchesUncertified) {
+  // A certified sizing reads its achieved MST off the certificate's
+  // post-sizing witness instead of re-solving; both must agree everywhere.
+  std::vector<Instance> instances = {Instance::wrap(lis::make_two_core_example()),
+                                     Instance::wrap(lis::make_two_core_example_sized()),
+                                     Instance::wrap(lis::make_fig15_counterexample()),
+                                     cofdm_soc()};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    GenerateOptions gen;
+    gen.cores = 30;
+    gen.sccs = 3;
+    gen.relay_stations = 8;
+    gen.rs_anywhere = true;
+    gen.seed = seed;
+    instances.push_back(generate(gen).value());
+  }
+  for (const Solver solver : {Solver::kLazy, Solver::kBoth, Solver::kHeuristic}) {
+    for (const util::Rational& target : {util::Rational(0), util::Rational(3, 4)}) {
+      for (const Instance& instance : instances) {
+        SCOPED_TRACE(instance.name() + " target " + target.to_string());
+        SizeQueuesOptions options;
+        options.solver = solver;
+        options.target = target;
+        const Result<Sizing> plain = size_queues(instance, options);
+        options.certify = true;
+        const Result<Sizing> certified = size_queues(instance, options);
+        ASSERT_TRUE(plain.ok());
+        ASSERT_TRUE(certified.ok());
+        ASSERT_TRUE(certified->certificate.has_value());
+        EXPECT_EQ(certified->achieved, plain->achieved);
+        EXPECT_EQ(certified->exact_total, plain->exact_total);
+        EXPECT_EQ(certified->heuristic_total, plain->heuristic_total);
+        EXPECT_EQ(certified->changes.size(), plain->changes.size());
+        const Result<verify::CheckResult> checked =
+            verify_certificate(instance, *certified->certificate);
+        ASSERT_TRUE(checked.ok());
+        EXPECT_TRUE(checked->ok) << checked->detail;
+      }
+    }
+  }
 }
 
 TEST(InsertRelayStations, RepairsTheTwoCoreExample) {

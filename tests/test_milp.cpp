@@ -118,6 +118,31 @@ TEST(Simplex, DegenerateRedundantEqualities) {
   EXPECT_EQ(r.objective, Rational(5));  // x = 3, y = 1
 }
 
+TEST(Simplex, WorkBudgetStopsBeforeThePivotThatWouldPassIt) {
+  // The 2x2 covering LP of BranchesToIntegrality below: its optimum takes
+  // pivots in both phases.
+  LinearProgram lp;
+  lp.objective = {Rational(1), Rational(1)};
+  lp.add_constraint({Rational(2), Rational(1)}, Relation::kGreaterEq, Rational(1));
+  lp.add_constraint({Rational(1), Rational(2)}, Relation::kGreaterEq, Rational(1));
+  const LpResult full = solve_lp(lp);
+  ASSERT_EQ(full.status, LpResult::Status::kOptimal);
+  // 2 rows + cost row, 2 structural + 2 surplus + 2 artificial columns +
+  // rhs: no pivot rewrites more than 3 * 7 cells.
+  EXPECT_GT(full.work, 0);
+  EXPECT_EQ(full.work % 7, 0);
+
+  const LpResult exact_budget = solve_lp(lp, full.work);
+  EXPECT_EQ(exact_budget.status, LpResult::Status::kOptimal);
+  EXPECT_EQ(exact_budget.work, full.work);
+  for (std::int64_t budget = 1; budget < full.work; ++budget) {
+    const LpResult r = solve_lp(lp, budget);
+    EXPECT_EQ(r.status, LpResult::Status::kCutOff) << budget;
+    EXPECT_LE(r.work, budget);
+    EXPECT_GT(r.work + 3 * 7, budget);  // stopped within one pivot of the cap
+  }
+}
+
 TEST(Simplex, RejectsMalformedConstraints) {
   LinearProgram lp;
   lp.objective = {Rational(1), Rational(1)};
@@ -137,16 +162,22 @@ TEST(Ilp, BranchesToIntegrality) {
   EXPECT_EQ(r.solution[0] + r.solution[1], 1);
 }
 
-TEST(Ilp, OddCycleCoverNeedsRoundedHalf) {
-  // Vertex cover LP of a 5-cycle relaxes to 5/2; the ILP needs 3.
+/// Vertex cover of a 5-cycle: the LP relaxes to 5/2 at x = 1/2 everywhere,
+/// the integral optimum is 3.
+LinearProgram odd_cycle_cover(const Rational& cost) {
   LinearProgram lp;
-  lp.objective.assign(5, Rational(1));
+  lp.objective.assign(5, cost);
   for (int i = 0; i < 5; ++i) {
     std::vector<Rational> coeffs(5, Rational(0));
     coeffs[static_cast<std::size_t>(i)] = Rational(1);
     coeffs[static_cast<std::size_t>((i + 1) % 5)] = Rational(1);
     lp.add_constraint(std::move(coeffs), Relation::kGreaterEq, Rational(1));
   }
+  return lp;
+}
+
+TEST(Ilp, OddCycleCoverNeedsRoundedHalf) {
+  const LinearProgram lp = odd_cycle_cover(Rational(1));
   const LpResult relaxed = solve_lp(lp);
   ASSERT_EQ(relaxed.status, LpResult::Status::kOptimal);
   EXPECT_EQ(relaxed.objective, Rational(5, 2));
@@ -177,6 +208,82 @@ TEST(Ilp, HonorsNodeCap) {
   const IlpResult r = solve_ilp(lp, options);
   EXPECT_TRUE(r.status == IlpResult::Status::kCutOff ||
               r.status == IlpResult::Status::kOptimal);
+}
+
+TEST(Ilp, OptimalIncumbentMeetsTheRoundedRootBoundAtNodeOne) {
+  const LinearProgram lp = odd_cycle_cover(Rational(1));
+  const IlpResult cold = solve_ilp(lp);
+  ASSERT_EQ(cold.status, IlpResult::Status::kOptimal);
+  EXPECT_GT(cold.nodes, 1);  // the fractional root must be branched on
+
+  // Integral costs: ⌈5/2⌉ = 3 already proves a seeded 3-cover optimal.
+  IlpOptions options;
+  options.incumbent = {1, 0, 1, 0, 1};
+  const IlpResult seeded = solve_ilp(lp, options);
+  ASSERT_EQ(seeded.status, IlpResult::Status::kOptimal);
+  EXPECT_EQ(seeded.objective, Rational(3));
+  EXPECT_EQ(seeded.nodes, 1);
+  EXPECT_EQ(seeded.solution, options.incumbent);
+}
+
+TEST(Ilp, NonIntegralObjectiveIsNotRoundedUp) {
+  // Costs 1/2: the LP bound is 5/4, and a seeded 4-cover costs 2 = ⌈5/4⌉.
+  // Rounding the bound up would stop there; the optimum is a 3-cover, 3/2.
+  const LinearProgram lp = odd_cycle_cover(Rational(1, 2));
+  IlpOptions options;
+  options.incumbent = {1, 1, 0, 1, 1};
+  const IlpResult r = solve_ilp(lp, options);
+  ASSERT_EQ(r.status, IlpResult::Status::kOptimal);
+  EXPECT_EQ(r.objective, Rational(3, 2));
+  EXPECT_GT(r.nodes, 1);
+}
+
+TEST(Ilp, RejectsAnInfeasibleIncumbent) {
+  IlpOptions options;
+  options.incumbent = {1, 0, 0, 0, 1};  // leaves edge 2-3 uncovered
+  EXPECT_THROW(solve_ilp(odd_cycle_cover(Rational(1)), options), std::invalid_argument);
+  options.incumbent = {1, 0, 1};
+  EXPECT_THROW(solve_ilp(odd_cycle_cover(Rational(1)), options), std::invalid_argument);
+}
+
+TEST(Ilp, CancelIsPolledAtEveryNode) {
+  IlpOptions options;
+  options.cancel = util::CancelToken::after_polls(2);
+  const IlpResult r = solve_ilp(odd_cycle_cover(Rational(1)), options);
+  EXPECT_EQ(r.status, IlpResult::Status::kCutOff);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_EQ(r.nodes, 2);  // the root ran; the first child stopped at its poll
+}
+
+TEST(Ilp, WorkBudgetChargesTableauCells) {
+  const LinearProgram lp = odd_cycle_cover(Rational(1));
+  const IlpResult full = solve_ilp(lp);
+  ASSERT_EQ(full.status, IlpResult::Status::kOptimal);
+  EXPECT_GT(full.lp_work, 10 * full.nodes);  // a pivot rewrites many cells
+
+  // A budget that covers the whole search changes nothing; any smaller one
+  // cuts it off without passing the cap, at a point that depends on the
+  // budget alone, and leaves less than the pivot it declined unused: at
+  // depth d the tableau has at most 5 + d rows and 5 + 2(5 + d) columns,
+  // plus the cost row and the rhs.
+  IlpOptions options;
+  options.max_nodes = full.charged();
+  const IlpResult enough = solve_ilp(lp, options);
+  EXPECT_EQ(enough.status, IlpResult::Status::kOptimal);
+  EXPECT_EQ(enough.charged(), full.charged());
+  for (std::int64_t budget = 1; budget < full.charged(); budget += 13) {
+    SCOPED_TRACE(budget);
+    options.max_nodes = budget;
+    const IlpResult first = solve_ilp(lp, options);
+    const IlpResult second = solve_ilp(lp, options);
+    EXPECT_EQ(first.status, IlpResult::Status::kCutOff);
+    EXPECT_FALSE(first.cancelled);
+    EXPECT_LE(first.charged(), budget);
+    const std::int64_t depth = first.nodes - 1;
+    EXPECT_GT(first.charged() + (6 + depth) * (16 + 2 * depth), budget);
+    EXPECT_EQ(first.charged(), second.charged());
+    EXPECT_EQ(first.nodes, second.nodes);
+  }
 }
 
 class IlpVsBruteForce : public ::testing::TestWithParam<std::uint64_t> {};
@@ -258,6 +365,143 @@ TEST(ExactMilp, MatchesCombinatorialExactOnKnownInstances) {
   EXPECT_EQ(milp.solution->total, bnb.solution->total);
 }
 
+/// A covering instance whose heuristic (10) misses the optimum (8).
+TdInstance heuristic_gap_instance() {
+  TdInstance inst;
+  inst.deficits = {6, 3, 1, 6, 6};
+  inst.set_members = {{1, 3, 4}, {0, 1, 2}, {3, 4}, {0, 1}, {0, 3, 4}};
+  return inst;
+}
+
+TEST(ExactMilp, HeuristicAlreadyOptimalIsKept) {
+  // The 5-cycle cover as a TD instance: the heuristic finds a 3-cover,
+  // which the rounded root bound proves optimal.
+  TdInstance inst;
+  inst.deficits = {1, 1, 1, 1, 1};
+  inst.set_members = {{0, 4}, {0, 1}, {1, 2}, {2, 3}, {3, 4}};
+  const TdSolution upper = solve_heuristic(inst);
+  ASSERT_EQ(upper.total, 3);
+  const ExactResult milp = solve_exact_milp(inst, upper);
+  ASSERT_TRUE(milp.solution.has_value());
+  EXPECT_EQ(milp.solution->weights, upper.weights);
+}
+
+TEST(ExactMilp, CancelTokenReachesTheSearch) {
+  const TdInstance inst = heuristic_gap_instance();
+  ExactOptions options;
+  options.cancel = util::CancelToken::after_polls(1);
+  const ExactResult r = solve_exact_milp(inst, solve_heuristic(inst), options);
+  EXPECT_TRUE(r.cut_off);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_FALSE(r.solution.has_value());
+  EXPECT_EQ(r.nodes_explored, 1);  // stopped at the root's poll, before its LP
+}
+
+TEST(ExactMilp, SameBudgetCutsOffAtTheSameCount) {
+  const TdInstance inst = heuristic_gap_instance();
+  const TdSolution upper = solve_heuristic(inst);
+  const ExactResult plain = solve_exact_milp(inst, upper);
+  ASSERT_TRUE(plain.solution.has_value());
+  ExactOptions options;
+  options.max_nodes = plain.nodes_explored / 2;  // mid-search
+  const ExactResult first = solve_exact_milp(inst, upper, options);
+  const ExactResult second = solve_exact_milp(inst, upper, options);
+  EXPECT_TRUE(first.cut_off);
+  EXPECT_FALSE(first.cancelled);
+  EXPECT_FALSE(first.solution.has_value());
+  EXPECT_LE(first.nodes_explored, options.max_nodes);
+  EXPECT_EQ(first.nodes_explored, second.nodes_explored);
+  EXPECT_EQ(first.cut_off, second.cut_off);
+}
+
+/// A covering instance shaped like a late round of a certified 10^5-core
+/// sizing — 40 cycles over 38 sets, deficits 20-120 — whose LP search needs
+/// about 10^6 units of work.
+TdInstance late_round_instance() {
+  util::Rng rng(1);
+  TdInstance inst;
+  inst.set_members.resize(38);
+  for (int c = 0; c < 40; ++c) {
+    inst.deficits.push_back(rng.uniform_int(20, 120));
+    bool covered = false;
+    for (auto& members : inst.set_members) {
+      if (rng.flip(0.15)) {
+        members.push_back(c);
+        covered = true;
+      }
+    }
+    if (!covered) inst.set_members[rng.uniform_index(inst.set_members.size())].push_back(c);
+  }
+  return inst;
+}
+
+TEST(ExactMilp, ServeWorkCapStopsALargeRoundWithinOnePivot) {
+  // serve::ExecLimits clamps every request's work budget to 200'000 units,
+  // which this round exceeds.
+  const TdInstance inst = late_round_instance();
+  const TdSolution upper = solve_heuristic(inst);
+  ExactOptions options;
+  options.max_nodes = 200'000;
+  const ExactResult r = solve_exact_milp(inst, upper, options);
+  ASSERT_TRUE(r.cut_off);
+  EXPECT_FALSE(r.cancelled);
+  EXPECT_LE(r.nodes_explored, options.max_nodes);
+
+  // The same search on the covering program directly, where the depth it
+  // stopped at is known: at most nodes - 1 branchings, so a tableau of at
+  // most m + d rows and n + 2(m + d) columns, plus the cost row and the
+  // rhs. What it left of the budget is less than the pivot it declined.
+  const auto m = static_cast<std::int64_t>(inst.num_cycles());
+  const auto n = static_cast<std::int64_t>(inst.num_sets());
+  milp::LinearProgram lp;
+  lp.objective.assign(inst.num_sets(), util::Rational(1));
+  const auto covering = inst.covering_sets();
+  for (std::size_t c = 0; c < inst.num_cycles(); ++c) {
+    std::vector<util::Rational> coeffs(inst.num_sets(), util::Rational(0));
+    for (const int s : covering[c]) coeffs[static_cast<std::size_t>(s)] = util::Rational(1);
+    lp.add_constraint(std::move(coeffs), milp::Relation::kGreaterEq,
+                      util::Rational(inst.deficits[c]));
+  }
+  milp::IlpOptions ilp_options;
+  ilp_options.max_nodes = options.max_nodes;
+  ilp_options.incumbent = upper.weights;
+  const milp::IlpResult ilp = milp::solve_ilp(lp, ilp_options);
+  ASSERT_EQ(ilp.status, milp::IlpResult::Status::kCutOff);
+  EXPECT_EQ(ilp.charged(), r.nodes_explored);
+  const std::int64_t depth = ilp.nodes - 1;
+  const std::int64_t largest_pivot = (m + depth + 1) * (n + 2 * (m + depth) + 1);
+  EXPECT_GT(ilp.charged() + largest_pivot, ilp_options.max_nodes);
+}
+
+/// Checks every way the MILP can be driven against the combinatorial exact
+/// search on `inst`; returns the optimum.
+std::int64_t expect_milp_paths_match_exact(const TdInstance& inst) {
+  const TdSolution upper = solve_heuristic(inst);
+  ExactOptions options;
+  options.timeout_ms = 20000;
+  const ExactResult bnb = solve_exact(inst, upper, options);
+  const ExactResult milp = solve_exact_milp(inst, upper, options);
+  EXPECT_TRUE(bnb.solution.has_value());
+  EXPECT_TRUE(milp.solution.has_value()) << "MILP cut off on a small instance";
+  if (!bnb.solution || !milp.solution) return -1;
+  const std::int64_t optimum = bnb.solution->total;
+  EXPECT_EQ(milp.solution->total, optimum);
+  EXPECT_TRUE(inst.is_feasible(milp.solution->weights));
+
+  // The lazy sizer's path: simplify, seed with the heuristic on the reduced
+  // instance, solve, lift back.
+  const SimplifiedTd simplified = simplify(inst);
+  const ExactResult reduced =
+      solve_exact_milp(simplified.reduced, solve_heuristic(simplified.reduced), options);
+  EXPECT_TRUE(reduced.solution.has_value());
+  if (reduced.solution) {
+    const TdSolution lifted = simplified.lift(*reduced.solution);
+    EXPECT_EQ(lifted.total, optimum);
+    EXPECT_TRUE(inst.is_feasible(lifted.weights));
+  }
+  return optimum;
+}
+
 class MilpVsCombinatorial : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MilpVsCombinatorial, AgreeOnGeneratedSystems) {
@@ -272,16 +516,37 @@ TEST_P(MilpVsCombinatorial, AgreeOnGeneratedSystems) {
     params.policy = gen::RsPolicy::kScc;
     const QsProblem problem = build_qs_problem(gen::generate(params, rng));
     if (!problem.has_degradation()) continue;
-    const TdSolution upper = solve_heuristic(problem.td);
-    ExactOptions options;
-    options.timeout_ms = 20000;
-    const ExactResult milp = solve_exact_milp(problem.td, upper, options);
-    const ExactResult bnb = solve_exact(problem.td, upper, options);
-    ASSERT_TRUE(bnb.solution.has_value());
-    ASSERT_TRUE(milp.solution.has_value()) << "MILP cut off on a small instance";
-    EXPECT_EQ(milp.solution->total, bnb.solution->total);
-    EXPECT_TRUE(problem.td.is_feasible(milp.solution->weights));
+    expect_milp_paths_match_exact(problem.td);
   }
+}
+
+/// The generated systems above mostly yield one-cycle instances; these
+/// random covering instances overlap their sets, so the heuristic often
+/// misses the optimum and the search has work to do.
+TEST_P(MilpVsCombinatorial, AgreeOnRandomCoveringInstances) {
+  util::Rng rng(GetParam());
+  int heuristic_gaps = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    TdInstance inst;
+    const int sets = rng.uniform_int(3, 7);
+    const int cycles = rng.uniform_int(3, 9);
+    inst.set_members.resize(static_cast<std::size_t>(sets));
+    for (int c = 0; c < cycles; ++c) {
+      inst.deficits.push_back(rng.uniform_int(1, 8));
+      bool covered = false;
+      for (auto& members : inst.set_members) {
+        if (rng.flip(0.4)) {
+          members.push_back(c);
+          covered = true;
+        }
+      }
+      if (!covered) inst.set_members[rng.uniform_index(inst.set_members.size())].push_back(c);
+    }
+    const std::int64_t optimum = expect_milp_paths_match_exact(inst);
+    if (solve_heuristic(inst).total > optimum) ++heuristic_gaps;
+  }
+  EXPECT_GT(heuristic_gaps, 0);  // the incumbent seed alone must not decide the sweep
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MilpVsCombinatorial, ::testing::Values(71, 72, 73));
