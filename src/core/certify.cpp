@@ -11,12 +11,11 @@ namespace {
 
 using util::Rational;
 
-/// Optimality witness for one expansion, from the Howard evidence pass.
+/// Optimality witness for one expansion, from its Howard evidence pass.
 /// By convention an acyclic expansion carries theta = 1 (the MST cap); the
 /// checker ignores the value and instead demands that every place crosses
 /// label classes.
-verify::McmWitness witness_for(const mg::MarkedGraph& g) {
-  mg::McmEvidence ev = mg::mcm_evidence(g);
+verify::McmWitness witness_for(mg::McmEvidence ev) {
   verify::McmWitness w;
   if (ev.critical) {
     w.acyclic = false;
@@ -40,11 +39,17 @@ verify::McmWitness witness_for(const mg::MarkedGraph& g) {
 }  // namespace
 
 verify::Certificate certify_analysis(const lis::LisGraph& lis) {
+  mg::McmEvidence ideal = mg::mcm_evidence(lis::expand_ideal(lis).graph);
+  return certify_analysis(lis, std::move(ideal), mg::mcm_evidence(lis::expand_doubled(lis).graph));
+}
+
+verify::Certificate certify_analysis(const lis::LisGraph& lis, mg::McmEvidence ideal,
+                                     mg::McmEvidence doubled) {
   verify::Certificate cert;
   cert.kind = verify::Kind::kAnalyze;
   cert.fingerprint = verify::fingerprint(lis);
-  cert.ideal = witness_for(lis::expand_ideal(lis).graph);
-  cert.practical = witness_for(lis::expand_doubled(lis).graph);
+  cert.ideal = witness_for(std::move(ideal));
+  cert.practical = witness_for(std::move(doubled));
   return cert;
 }
 
@@ -52,7 +57,7 @@ verify::Certificate certify_sizing(const lis::LisGraph& original, const QsReport
   verify::Certificate cert;
   cert.kind = verify::Kind::kSizing;
   cert.fingerprint = verify::fingerprint(original);
-  cert.ideal = witness_for(lis::expand_ideal(original).graph);
+  cert.ideal = witness_for(mg::mcm_evidence(lis::expand_ideal(original).graph));
   cert.target = report.problem.theta_target;
 
   // The applied sizing, diffed channel by channel: valid for whichever
@@ -92,7 +97,7 @@ verify::Certificate certify_sizing(const lis::LisGraph& original, const QsReport
     }
   }
 
-  cert.achieved = witness_for(lis::expand_doubled(report.sized).graph);
+  cert.achieved = witness_for(mg::mcm_evidence(lis::expand_doubled(report.sized).graph));
   return cert;
 }
 

@@ -8,6 +8,7 @@
 
 #include "core/queue_sizing.hpp"
 #include "lis/lis_graph.hpp"
+#include "mg/mcm.hpp"
 #include "verify/certificate.hpp"
 
 namespace lid::core {
@@ -17,6 +18,10 @@ namespace lid::core {
 /// witnesses are recomputed from the netlist, not taken on faith from a
 /// previous analysis), and verify::check accepts the result by construction.
 verify::Certificate certify_analysis(const lis::LisGraph& lis);
+
+/// The same certificate from the evidence of expand_ideal(lis) and expand_doubled(lis).
+verify::Certificate certify_analysis(const lis::LisGraph& lis, mg::McmEvidence ideal,
+                                     mg::McmEvidence doubled);
 
 /// Certificate for a finished queue-sizing run: the ideal ceiling, the
 /// applied per-channel weights (diffed sized-vs-original, so they hold for

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "mg/mcm.hpp"
 #include "util/check.hpp"
 
 namespace lid::core {
@@ -23,39 +22,46 @@ std::string DegradationReport::to_string() const {
   return os.str();
 }
 
-DegradationReport explain_degradation(const lis::LisGraph& lis) {
-  DegradationReport report;
-  report.theta_ideal = lis::ideal_mst(lis);
+void DegradationReport::set_theta_ideal(const util::Rational& theta) {
+  theta_ideal = theta;
+  degraded = theta_practical < theta_ideal;
+}
 
+DegradationReport explain_degradation(const lis::LisGraph& lis) {
   // One Howard solve yields both the practical MST and its critical cycle —
   // a separate mg::mst() pass would redo the same minimum-cycle-mean work.
-  const lis::Expansion expansion = lis::expand_doubled(lis);
-  const auto critical = mg::min_cycle_mean_howard(expansion.graph);
+  const lis::Expansion doubled = lis::expand_doubled(lis);
+  DegradationReport report =
+      explain_practical(lis, doubled, mg::min_cycle_mean_howard(doubled.graph));
+  report.set_theta_ideal(lis::ideal_mst(lis));
+  return report;
+}
+
+DegradationReport explain_practical(const lis::LisGraph& lis, const lis::Expansion& doubled,
+                                    const std::optional<mg::MeanCycle>& critical) {
+  DegradationReport report;
   if (!critical) {
     // Acyclic doubled graph: single channel-free core; MST stays at 1.
     report.theta_practical = util::Rational(1);
-    report.degraded = report.theta_practical < report.theta_ideal;
     return report;
   }
   LID_ENSURE(critical->mean.num() != 0,
              "explain_degradation: token-free cycle (deadlocked doubled graph)");
   report.theta_practical = util::Rational::min(util::Rational(1), critical->mean);
-  report.degraded = report.theta_practical < report.theta_ideal;
 
+  const mg::MarkedGraph& g = doubled.graph;
   report.cycle_places = static_cast<std::int64_t>(critical->cycle.size());
-  report.cycle_tokens = expansion.graph.cycle_tokens(critical->cycle);
-  report.cycle_place_ids.reserve(critical->cycle.size());
-  for (const mg::PlaceId p : critical->cycle) report.cycle_place_ids.push_back(p);
+  report.cycle_tokens = g.cycle_tokens(critical->cycle);
+  report.cycle_place_ids.assign(critical->cycle.begin(), critical->cycle.end());
   for (const mg::PlaceId p : critical->cycle) {
     CriticalHop hop;
-    hop.channel = expansion.place_channel[static_cast<std::size_t>(p)];
-    hop.backward = expansion.graph.place_kind(p) == mg::PlaceKind::kBackward;
-    hop.tokens = expansion.graph.tokens(p);
+    hop.channel = doubled.place_channel[static_cast<std::size_t>(p)];
+    hop.backward = g.place_kind(p) == mg::PlaceKind::kBackward;
+    hop.tokens = g.tokens(p);
     std::ostringstream os;
-    os << expansion.graph.transition_name(expansion.graph.producer(p))
-       << (hop.backward ? " ~> " : " -> ")
-       << expansion.graph.transition_name(expansion.graph.consumer(p));
-    if (hop.backward && p == expansion.queue_place(hop.channel)) {
+    os << g.transition_name(g.producer(p)) << (hop.backward ? " ~> " : " -> ")
+       << g.transition_name(g.consumer(p));
+    if (hop.backward && p == doubled.queue_place(hop.channel)) {
       os << " (queue backedge, capacity " << lis.channel(hop.channel).queue_capacity << ")";
     }
     hop.description = os.str();

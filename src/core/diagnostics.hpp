@@ -4,10 +4,12 @@
 // examples; the underlying critical cycle comes from Howard's algorithm.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "lis/lis_graph.hpp"
+#include "mg/mcm.hpp"
 #include "util/rational.hpp"
 
 namespace lid::core {
@@ -39,9 +41,18 @@ struct DegradationReport {
 
   /// Multi-line rendering for logs / CLI output.
   [[nodiscard]] std::string to_string() const;
+
+  /// Records θ(G) and derives `degraded`.
+  void set_theta_ideal(const util::Rational& theta);
 };
 
 /// Analyzes `lis` and reports its limiting cycle.
 DegradationReport explain_degradation(const lis::LisGraph& lis);
+
+/// The d[G] half of explain_degradation: theta_practical and the hops, from
+/// `doubled` = lis::expand_doubled(lis) and its minimum-mean cycle (absent
+/// when acyclic). theta_ideal and degraded wait for set_theta_ideal.
+DegradationReport explain_practical(const lis::LisGraph& lis, const lis::Expansion& doubled,
+                                    const std::optional<mg::MeanCycle>& critical);
 
 }  // namespace lid::core

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "graph/scc.hpp"
+#include "util/check.hpp"
 
 namespace lid::core {
 
@@ -37,63 +38,56 @@ std::string RateSafetyReport::to_string(const lis::LisGraph& lis) const {
 }
 
 RateSafetyReport analyze_rate_safety(const lis::LisGraph& lis) {
+  const lis::Expansion ideal = lis::expand_ideal(lis);
+  return analyze_rate_safety(lis, ideal, mg::mcm_evidence(ideal.graph));
+}
+
+RateSafetyReport analyze_rate_safety(const lis::LisGraph& lis, const lis::Expansion& ideal,
+                                     const mg::McmEvidence& evidence) {
   RateSafetyReport report;
   const graph::SccPartition part = graph::scc(lis.structure());
   report.scc_of = part.comp_of;
   report.sccs.resize(static_cast<std::size_t>(part.count));
+  const auto scc_of = [&](lis::CoreId v) { return part.comp_of[static_cast<std::size_t>(v)]; };
+  const auto scc = [&](int c) -> SccRate& { return report.sccs[static_cast<std::size_t>(c)]; };
 
-  // Per-SCC rate: the ideal MST of the member-induced sub-netlist.
+  // Per-SCC rate: the ideal MST of the member-induced sub-netlist, i.e. of
+  // the component of G holding any member core's input transition.
   for (int c = 0; c < part.count; ++c) {
-    SccRate& scc = report.sccs[static_cast<std::size_t>(c)];
-    scc.cores = part.members[static_cast<std::size_t>(c)];
-    lis::LisGraph sub;
-    std::vector<lis::CoreId> remap(lis.num_cores(), graph::kInvalidNode);
-    for (const lis::CoreId v : scc.cores) {
-      remap[static_cast<std::size_t>(v)] = sub.add_core(lis.core_name(v));
-      sub.set_core_latency(remap[static_cast<std::size_t>(v)], lis.core_latency(v));
-    }
-    for (lis::ChannelId ch = 0; ch < static_cast<lis::ChannelId>(lis.num_channels()); ++ch) {
-      const lis::Channel& channel = lis.channel(ch);
-      if (part.comp_of[static_cast<std::size_t>(channel.src)] != c ||
-          part.comp_of[static_cast<std::size_t>(channel.dst)] != c) {
-        continue;
-      }
-      sub.add_channel(remap[static_cast<std::size_t>(channel.src)],
-                      remap[static_cast<std::size_t>(channel.dst)], channel.relay_stations,
-                      channel.queue_capacity);
-    }
-    scc.rate = lis::ideal_mst(sub);
-    scc.effective_rate = scc.rate;
+    scc(c).cores = part.members[static_cast<std::size_t>(c)];
+    const mg::TransitionId t =
+        ideal.core_transition[static_cast<std::size_t>(scc(c).cores.front())];
+    const int component = evidence.component[static_cast<std::size_t>(t)];
+    scc(c).rate = util::Rational::min(util::Rational(1),
+                                      evidence.lambda[static_cast<std::size_t>(component)]);
+    LID_ENSURE(scc(c).rate.num() != 0, "analyze_rate_safety: token-free cycle in G");
+    scc(c).effective_rate = scc(c).rate;
   }
 
   // Effective rates: propagate upstream throttling in topological order.
   // Tarjan indices are reverse-topological (edge (u, v) inter-SCC implies
-  // comp_of[u] > comp_of[v]), so descending index order is topological.
-  for (int c = part.count - 1; c >= 0; --c) {
-    // Find predecessors of c and fold their effective rates in.
-    for (lis::ChannelId ch = 0; ch < static_cast<lis::ChannelId>(lis.num_channels()); ++ch) {
-      const lis::Channel& channel = lis.channel(ch);
-      const int from = part.comp_of[static_cast<std::size_t>(channel.src)];
-      const int to = part.comp_of[static_cast<std::size_t>(channel.dst)];
-      if (to != c || from == to) continue;
-      auto& scc = report.sccs[static_cast<std::size_t>(c)];
-      scc.effective_rate = util::Rational::min(
-          scc.effective_rate, report.sccs[static_cast<std::size_t>(from)].effective_rate);
-    }
+  // comp_of[u] > comp_of[v]), so folding the inter-SCC channels in
+  // descending order of their source SCC settles every producer's effective
+  // rate before it is passed downstream.
+  std::vector<lis::ChannelId> crossing;  // inter-SCC channels, by id
+  for (lis::ChannelId ch = 0; ch < static_cast<lis::ChannelId>(lis.num_channels()); ++ch) {
+    if (scc_of(lis.channel(ch).src) != scc_of(lis.channel(ch).dst)) crossing.push_back(ch);
+  }
+  std::vector<lis::ChannelId> by_source = crossing;
+  std::sort(by_source.begin(), by_source.end(), [&](lis::ChannelId a, lis::ChannelId b) {
+    return scc_of(lis.channel(a).src) > scc_of(lis.channel(b).src);
+  });
+  for (const lis::ChannelId ch : by_source) {
+    util::Rational& downstream = scc(scc_of(lis.channel(ch).dst)).effective_rate;
+    downstream = util::Rational::min(downstream, scc(scc_of(lis.channel(ch).src)).effective_rate);
   }
 
   // Hazards: a producer whose effective rate exceeds what the consumer can
   // absorb (its effective rate already folds every upstream throttle in).
-  for (lis::ChannelId ch = 0; ch < static_cast<lis::ChannelId>(lis.num_channels()); ++ch) {
-    const lis::Channel& channel = lis.channel(ch);
-    const int from = part.comp_of[static_cast<std::size_t>(channel.src)];
-    const int to = part.comp_of[static_cast<std::size_t>(channel.dst)];
-    if (from == to) continue;
-    const util::Rational producer = report.sccs[static_cast<std::size_t>(from)].effective_rate;
-    const util::Rational consumer = report.sccs[static_cast<std::size_t>(to)].effective_rate;
-    if (producer > consumer) {
-      report.hazards.push_back({ch, producer, consumer});
-    }
+  for (const lis::ChannelId ch : crossing) {
+    const util::Rational& producer = scc(scc_of(lis.channel(ch).src)).effective_rate;
+    const util::Rational& consumer = scc(scc_of(lis.channel(ch).dst)).effective_rate;
+    if (producer > consumer) report.hazards.push_back({ch, producer, consumer});
   }
   return report;
 }

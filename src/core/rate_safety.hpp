@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "lis/lis_graph.hpp"
+#include "mg/mcm.hpp"
 #include "util/rational.hpp"
 
 namespace lid::core {
@@ -54,5 +55,11 @@ struct RateSafetyReport {
 
 /// Analyzes `lis` per Sec. III-C.
 RateSafetyReport analyze_rate_safety(const lis::LisGraph& lis);
+
+/// The same report from `ideal` = lis::expand_ideal(lis) and its
+/// mg::mcm_evidence: a netlist SCC's cores and internal channels form one
+/// component of G, so its rate is min(1, lambda) of that component.
+RateSafetyReport analyze_rate_safety(const lis::LisGraph& lis, const lis::Expansion& ideal,
+                                     const mg::McmEvidence& evidence);
 
 }  // namespace lid::core

@@ -6,7 +6,11 @@
 namespace lid::core {
 
 std::vector<ChannelStorage> storage_bounds(const lis::LisGraph& lis) {
-  const lis::Expansion expansion = lis::expand_doubled(lis);
+  return storage_bounds(lis, lis::expand_doubled(lis));
+}
+
+std::vector<ChannelStorage> storage_bounds(const lis::LisGraph& lis,
+                                           const lis::Expansion& expansion) {
   std::vector<ChannelStorage> out;
   out.reserve(lis.num_channels());
   for (lis::ChannelId c = 0; c < static_cast<lis::ChannelId>(lis.num_channels()); ++c) {

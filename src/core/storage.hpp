@@ -31,6 +31,10 @@ struct ChannelStorage {
 /// Bounds for every channel of the (finite-queue, backpressured) LIS.
 std::vector<ChannelStorage> storage_bounds(const lis::LisGraph& lis);
 
+/// The same bounds on an already-built `doubled` = lis::expand_doubled(lis).
+std::vector<ChannelStorage> storage_bounds(const lis::LisGraph& lis,
+                                           const lis::Expansion& doubled);
+
 /// Total storage bound across all channels — the footprint a synthesized
 /// implementation of the lumped abstraction must provision.
 std::int64_t total_storage_bound(const lis::LisGraph& lis);

@@ -1,5 +1,7 @@
 #include "engine/analysis_cache.hpp"
 
+#include <utility>
+
 #include "mg/mcm.hpp"
 
 namespace lid::engine {
@@ -21,45 +23,32 @@ bool AnalysisCache::note(bool hit) {
   return hit;
 }
 
-const lis::Expansion& AnalysisCache::ideal() {
-  if (!note(ideal_.has_value())) {
+const AnalysisCache::Solved& AnalysisCache::solve(std::optional<Solved>& slot,
+                                                  lis::Expansion (*expand)(const lis::LisGraph&),
+                                                  const char* expand_stage,
+                                                  const char* solve_stage) {
+  if (!note(slot.has_value())) {
     std::optional<Metrics::ScopedStage> stage;
-    if (metrics_ != nullptr) stage.emplace(*metrics_, "expand_ideal");
-    ideal_ = lis::expand_ideal(lis_);
+    if (metrics_ != nullptr) stage.emplace(*metrics_, expand_stage);
+    lis::Expansion expansion = expand(lis_);
+    if (metrics_ != nullptr) stage.emplace(*metrics_, solve_stage);
+    mg::McmEvidence evidence = mg::mcm_evidence(expansion.graph, workspace_);
+    slot = Solved{std::move(expansion), std::move(evidence)};
   }
-  return *ideal_;
+  return *slot;
 }
 
-const lis::Expansion& AnalysisCache::doubled() {
-  if (!note(doubled_.has_value())) {
-    std::optional<Metrics::ScopedStage> stage;
-    if (metrics_ != nullptr) stage.emplace(*metrics_, "expand_doubled");
-    doubled_ = lis::expand_doubled(lis_);
-  }
-  return *doubled_;
+const AnalysisCache::Solved& AnalysisCache::ideal() {
+  return solve(ideal_, lis::expand_ideal, "expand_ideal", "mst_ideal");
 }
 
-const util::Rational& AnalysisCache::theta_ideal() {
-  if (!note(theta_ideal_.has_value())) {
-    const lis::Expansion& expansion = ideal();
-    std::optional<Metrics::ScopedStage> stage;
-    if (metrics_ != nullptr) stage.emplace(*metrics_, "mst_ideal");
-    // Howard through the shared workspace: exact-rational, so identical to
-    // mg::mst (Karp), but warm-startable and allocation-pooled.
-    theta_ideal_ = mg::mst_howard(expansion.graph, workspace_);
-  }
-  return *theta_ideal_;
+const AnalysisCache::Solved& AnalysisCache::doubled() {
+  return solve(doubled_, lis::expand_doubled, "expand_doubled", "mst_practical");
 }
 
-const util::Rational& AnalysisCache::theta_practical() {
-  if (!note(theta_practical_.has_value())) {
-    const lis::Expansion& expansion = doubled();
-    std::optional<Metrics::ScopedStage> stage;
-    if (metrics_ != nullptr) stage.emplace(*metrics_, "mst_practical");
-    theta_practical_ = mg::mst_howard(expansion.graph, workspace_);
-  }
-  return *theta_practical_;
-}
+util::Rational AnalysisCache::theta_ideal() { return mg::mst(ideal().evidence); }
+
+util::Rational AnalysisCache::theta_practical() { return mg::mst(doubled().evidence); }
 
 const core::QsProblem& AnalysisCache::qs_problem(const core::QsBuildOptions& options) {
   if (!note(qs_.has_value() && same_build_options(qs_options_, options))) {
@@ -73,22 +62,17 @@ const core::QsProblem& AnalysisCache::qs_problem(const core::QsBuildOptions& opt
   return *qs_;
 }
 
-const core::DegradationReport& AnalysisCache::degradation() {
-  if (!note(degradation_.has_value())) {
-    std::optional<Metrics::ScopedStage> stage;
-    if (metrics_ != nullptr) stage.emplace(*metrics_, "explain_degradation");
-    degradation_ = core::explain_degradation(lis_);
-  }
-  return *degradation_;
+core::DegradationReport AnalysisCache::degradation() {
+  const Solved& practical = doubled();
+  core::DegradationReport report =
+      core::explain_practical(lis_, practical.expansion, practical.evidence.critical);
+  report.set_theta_ideal(theta_ideal());
+  return report;
 }
 
-const core::RateSafetyReport& AnalysisCache::rate_safety() {
-  if (!note(rate_safety_.has_value())) {
-    std::optional<Metrics::ScopedStage> stage;
-    if (metrics_ != nullptr) stage.emplace(*metrics_, "rate_safety");
-    rate_safety_ = core::analyze_rate_safety(lis_);
-  }
-  return *rate_safety_;
+core::RateSafetyReport AnalysisCache::rate_safety() {
+  const Solved& solved = ideal();
+  return core::analyze_rate_safety(lis_, solved.expansion, solved.evidence);
 }
 
 }  // namespace lid::engine

@@ -1,13 +1,13 @@
 // Per-instance memoization of the expensive analysis intermediates.
 //
 // Every analysis of a LIS starts from the same handful of derived objects:
-// the ideal expansion G, the doubled expansion d[G], their MSTs, and — for
-// queue sizing — the problematic-cycle enumeration (the dominant cost, via
-// Johnson's algorithm). Historically each entry point re-derived them from
-// scratch, so stacking analyses (ideal MST + practical MST + heuristic QS +
-// exact QS) paid for the expansions and the cycle sweep up to four times.
-// AnalysisCache computes each intermediate lazily, once, and hands the
-// cached object to every subsequent stage.
+// the expansions G and d[G] with one evidence pass each (θ, critical cycle,
+// rate safety, certificate), and — for queue sizing — the problematic-cycle
+// enumeration (the dominant cost, via Johnson's algorithm). Historically
+// each entry point re-derived them from scratch, so stacking analyses (ideal
+// MST + practical MST + heuristic QS + exact QS) paid for the expansions and
+// the cycle sweep up to four times. AnalysisCache computes each intermediate
+// lazily, once, and hands the cached object to every subsequent stage.
 //
 // A cache is NOT thread-safe: the batch engine creates one per instance
 // inside the worker that owns that instance, which is also what keeps batch
@@ -31,6 +31,12 @@ namespace lid::engine {
 /// Holds a reference to the netlist, which must outlive the cache.
 class AnalysisCache {
  public:
+  /// One expansion and its cold mg::mcm_evidence pass (through the workspace).
+  struct Solved {
+    lis::Expansion expansion;
+    mg::McmEvidence evidence;
+  };
+
   /// `metrics`, when given, receives per-stage timings (expand_ideal,
   /// expand_doubled, mst_ideal, mst_practical, build_qs_problem) and
   /// cache-hit/miss counters; it must outlive the cache.
@@ -38,17 +44,17 @@ class AnalysisCache {
 
   [[nodiscard]] const lis::LisGraph& lis() const { return lis_; }
 
-  /// The ideal expansion G (forward places only).
-  const lis::Expansion& ideal();
+  /// The ideal expansion G (forward places only) and its evidence pass.
+  const Solved& ideal();
 
-  /// The doubled expansion d[G] (forward + backpressure places).
-  const lis::Expansion& doubled();
+  /// The doubled expansion d[G] (forward + backpressure places), likewise.
+  const Solved& doubled();
 
-  /// θ(G) — computed from the cached ideal expansion.
-  const util::Rational& theta_ideal();
+  /// θ(G), from ideal()'s evidence.
+  util::Rational theta_ideal();
 
-  /// θ(d[G]) — computed from the cached doubled expansion.
-  const util::Rational& theta_practical();
+  /// θ(d[G]), from doubled()'s evidence.
+  util::Rational theta_practical();
 
   /// The queue-sizing problem (problematic cycles + TD instance), built with
   /// the cached MSTs. Memoized per options: a second call with the same
@@ -56,40 +62,38 @@ class AnalysisCache {
   const core::QsProblem& qs_problem(const core::QsBuildOptions& options = {});
 
   /// The degradation report (thetas + critical cycle of d[G]), exactly
-  /// core::explain_degradation's result, computed once. This is what the
-  /// serve registry pools so repeated `analyze` verbs on a registered model
-  /// skip the expansions and MCM solves.
-  const core::DegradationReport& degradation();
+  /// core::explain_degradation's result, from both evidence passes: repeated
+  /// `analyze` verbs on a registered model skip the expansions and solves.
+  core::DegradationReport degradation();
 
-  /// The Sec. III-C rate-safety report, computed once.
-  const core::RateSafetyReport& rate_safety();
+  /// The Sec. III-C rate-safety report, from G's evidence.
+  core::RateSafetyReport rate_safety();
 
   /// Memoization traffic (for tests and the metrics report).
   [[nodiscard]] std::int64_t hits() const { return hits_; }
   [[nodiscard]] std::int64_t misses() const { return misses_; }
 
-  /// The cache's Howard workspace. Both MSTs solve through it, so a stacked
-  /// analysis (ideal + practical + lazy sizing) warm-starts wherever
-  /// structure repeats. Safe because the cache — and therefore the workspace
-  /// — is confined to the worker that owns the instance.
+  /// The cache's Howard workspace. Both evidence passes leave their policies
+  /// in it, so a stacked analysis (ideal + practical + lazy sizing)
+  /// warm-starts wherever structure repeats. Safe because the cache — and
+  /// therefore the workspace — is confined to the worker that owns it.
   [[nodiscard]] mg::Workspace& mcm_workspace() { return workspace_; }
 
  private:
   bool note(bool hit);  // updates counters; returns `hit`
+  /// Fills `slot` once: `expand` the netlist, then its evidence pass.
+  const Solved& solve(std::optional<Solved>& slot, lis::Expansion (*expand)(const lis::LisGraph&),
+                      const char* expand_stage, const char* solve_stage);
 
   const lis::LisGraph& lis_;
   Metrics* metrics_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
 
-  std::optional<lis::Expansion> ideal_;
-  std::optional<lis::Expansion> doubled_;
-  std::optional<util::Rational> theta_ideal_;
-  std::optional<util::Rational> theta_practical_;
+  std::optional<Solved> ideal_;
+  std::optional<Solved> doubled_;
   std::optional<core::QsProblem> qs_;
   core::QsBuildOptions qs_options_;
-  std::optional<core::DegradationReport> degradation_;
-  std::optional<core::RateSafetyReport> rate_safety_;
   mg::Workspace workspace_;
 };
 

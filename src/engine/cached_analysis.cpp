@@ -1,56 +1,42 @@
 #include "engine/cached_analysis.hpp"
 
-#include <exception>
-#include <stdexcept>
+#include <optional>
+#include <utility>
 
+#include "core/certify.hpp"
 #include "core/lazy_sizing.hpp"
 #include "core/queue_sizing.hpp"
 #include "lid_api_detail.hpp"
 
 namespace lid::engine {
-namespace {
-
-/// The facade's exception policy (lid_api.cpp `guarded`), duplicated here so
-/// error bytes match: std::invalid_argument marks bad input, everything else
-/// an internal invariant failure.
-template <typename T, typename Fn>
-Result<T> guarded(Fn&& body) {
-  try {
-    return body();
-  } catch (const std::invalid_argument& e) {
-    return Error{ErrorCode::kInvalidArgument, e.what()};
-  } catch (const std::exception& e) {
-    return Error{ErrorCode::kInternal, e.what()};
-  }
-}
-
-Error invalid_handle(const char* who) {
-  return Error{ErrorCode::kInvalidArgument, std::string(who) + ": invalid (empty) instance handle"};
-}
-
-}  // namespace
 
 Result<Analysis> analyze_cached(AnalysisCache& cache, const Instance& instance,
                                 const AnalyzeOptions& options) {
-  if (!instance.valid()) return invalid_handle("analyze");
+  if (!instance.valid()) return detail::invalid_handle("analyze");
   if (options.preflight) {
     if (auto rejected = detail::lint_preflight("analyze", instance.graph())) return *rejected;
   }
-  return guarded<Analysis>([&] {
-    const lis::LisGraph& lis = instance.graph();
-    const core::DegradationReport& report = cache.degradation();
-    const core::RateSafetyReport* rates = options.rate_safety ? &cache.rate_safety() : nullptr;
-    return detail::analysis_from_reports(lis, report, rates, options);
+  return detail::guarded<Analysis>(ErrorCode::kInvalidArgument, [&] {
+    const core::DegradationReport report = cache.degradation();
+    std::optional<core::RateSafetyReport> rates;
+    if (options.rate_safety) rates = cache.rate_safety();
+    std::optional<verify::Certificate> certificate;
+    if (options.certify) {
+      certificate = core::certify_analysis(instance.graph(), cache.ideal().evidence,
+                                           cache.doubled().evidence);
+    }
+    return detail::analysis_from_reports(instance.graph(), report, rates, std::move(certificate),
+                                         options);
   });
 }
 
 Result<Sizing> size_queues_cached(AnalysisCache& cache, const Instance& instance,
                                   const SizeQueuesOptions& options) {
-  if (!instance.valid()) return invalid_handle("size_queues");
+  if (!instance.valid()) return detail::invalid_handle("size_queues");
   if (options.preflight) {
     if (auto rejected = detail::lint_preflight("size_queues", instance.graph())) return *rejected;
   }
-  return guarded<Sizing>([&]() -> Result<Sizing> {
+  return detail::guarded<Sizing>(ErrorCode::kInvalidArgument, [&]() -> Result<Sizing> {
     const lis::LisGraph& lis = instance.graph();
     const core::QsOptions qs = detail::qs_options_from(options);
     core::QsReport report;

@@ -5,9 +5,9 @@
 // byte-identical to a direct facade call — the serve registry leans on this
 // to keep registered-model payloads equal to inline-netlist payloads. The
 // difference is purely where the expensive intermediates come from: the
-// degradation report, rate-safety report, MSTs and the cycle enumeration are
-// read from (and stored into) `cache`, which persists across calls on a
-// registered model instead of being rebuilt per request.
+// solved expansions (behind the degradation and rate-safety reports, MSTs and
+// certificate) and the cycle enumeration are read from (and stored into)
+// `cache`, which persists across calls on a registered model.
 //
 // Like AnalysisCache itself, these entry points are NOT thread-safe per
 // cache; the caller serializes access to one cache (the registry holds a
@@ -19,8 +19,9 @@
 
 namespace lid::engine {
 
-/// lid::analyze with the degradation/rate-safety reports pooled in `cache`.
-/// `cache` must wrap instance.graph().
+/// lid::analyze with the evidence behind its reports and certificate pooled
+/// in `cache`. The pre-flight expands its own d[G], so a model it rejects is
+/// never solved into the cache. `cache` must wrap instance.graph().
 Result<Analysis> analyze_cached(AnalysisCache& cache, const Instance& instance,
                                 const AnalyzeOptions& options = {});
 

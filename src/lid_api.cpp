@@ -16,42 +16,34 @@
 #include "gen/generator.hpp"
 #include "graph/topology.hpp"
 #include "lis/netlist_io.hpp"
+#include "mg/mcm.hpp"
 #include "soc/cofdm.hpp"
 #include "util/rng.hpp"
 
 namespace lid {
-namespace {
 
-/// Runs `body` and converts the library's exception conventions into the
-/// facade's Error codes: std::invalid_argument marks bad input, everything
-/// else an internal invariant failure.
-template <typename T, typename Fn>
-Result<T> guarded(ErrorCode bad_input_code, Fn&& body) {
-  try {
-    return body();
-  } catch (const std::invalid_argument& e) {
-    return Error{bad_input_code, e.what()};
-  } catch (const std::exception& e) {
-    return Error{ErrorCode::kInternal, e.what()};
-  }
-}
-
-Error invalid_handle(const char* who) {
-  return Error{ErrorCode::kInvalidArgument, std::string(who) + ": invalid (empty) instance handle"};
-}
-
-}  // namespace
+using detail::guarded;
+using detail::invalid_handle;
 
 namespace detail {
 
 std::optional<Error> lint_preflight(const char* who, const lis::LisGraph& lis) {
-  const linter::Report report = linter::run_error_checks(lis);
+  return lint_preflight(who, lis, lis::expand_doubled(lis));
+}
+
+std::optional<Error> lint_preflight(const char* who, const lis::LisGraph& lis,
+                                    const lis::Expansion& doubled) {
+  linter::LintOptions errors_only;
+  errors_only.errors_only = true;
+  const linter::Report report = linter::run_checks(lis, errors_only, doubled);
   if (!report.has_errors()) return std::nullopt;
   return Error{ErrorCode::kLint, std::string(who) + ": " + report.error_summary()};
 }
 
 Analysis analysis_from_reports(const lis::LisGraph& lis, const core::DegradationReport& report,
-                               const core::RateSafetyReport* rates, const AnalyzeOptions& options) {
+                               const std::optional<core::RateSafetyReport>& rates,
+                               std::optional<verify::Certificate> certificate,
+                               const AnalyzeOptions& options) {
   Analysis analysis;
   analysis.cores = lis.num_cores();
   analysis.channels = lis.num_channels();
@@ -66,12 +58,11 @@ Analysis analysis_from_reports(const lis::LisGraph& lis, const core::Degradation
       analysis.critical_cycle.push_back(hop.description);
     }
   }
-  if (options.rate_safety) {
-    LID_ENSURE(rates != nullptr, "analysis_from_reports: rate_safety set without a report");
+  if (rates) {
     analysis.rate_hazards = rates->hazards.size();
     analysis.rate_safe = rates->safe();
   }
-  if (options.certify) analysis.certificate = core::certify_analysis(lis);
+  analysis.certificate = std::move(certificate);
   return analysis;
 }
 
@@ -284,15 +275,30 @@ Instance cofdm_soc() { return Instance::wrap(soc::build_cofdm(), "cofdm"); }
 
 Result<Analysis> analyze(const Instance& instance, const AnalyzeOptions& options) {
   if (!instance.valid()) return invalid_handle("analyze");
-  if (options.preflight) {
-    if (auto rejected = detail::lint_preflight("analyze", instance.graph())) return *rejected;
-  }
-  return guarded<Analysis>(ErrorCode::kInvalidArgument, [&] {
+  return guarded<Analysis>(ErrorCode::kInvalidArgument, [&]() -> Result<Analysis> {
+    // One expansion and one evidence pass per graph feed every verdict; d[G]
+    // is dropped before G is expanded, so the two never share the heap.
     const lis::LisGraph& lis = instance.graph();
-    const core::DegradationReport report = core::explain_degradation(lis);
+    core::DegradationReport report;
+    mg::McmEvidence practical;
+    {
+      const lis::Expansion doubled = lis::expand_doubled(lis);
+      if (options.preflight) {
+        if (auto rejected = detail::lint_preflight("analyze", lis, doubled)) return *rejected;
+      }
+      practical = mg::mcm_evidence(doubled.graph);
+      report = core::explain_practical(lis, doubled, practical.critical);
+    }
+    const lis::Expansion ideal = lis::expand_ideal(lis);
+    mg::McmEvidence ideal_evidence = mg::mcm_evidence(ideal.graph);
+    report.set_theta_ideal(mg::mst(ideal_evidence));
     std::optional<core::RateSafetyReport> rates;
-    if (options.rate_safety) rates = core::analyze_rate_safety(lis);
-    return detail::analysis_from_reports(lis, report, rates ? &*rates : nullptr, options);
+    if (options.rate_safety) rates = core::analyze_rate_safety(lis, ideal, ideal_evidence);
+    std::optional<verify::Certificate> certificate;
+    if (options.certify) {
+      certificate = core::certify_analysis(lis, std::move(ideal_evidence), std::move(practical));
+    }
+    return detail::analysis_from_reports(lis, report, rates, std::move(certificate), options);
   });
 }
 

@@ -194,8 +194,8 @@ struct AnalyzeOptions {
   /// invariant mid-solve on a broken model (deadlocked, empty, q = 0).
   bool preflight = true;
   /// Attach an independently checkable certificate for the reported thetas
-  /// (verify::Certificate; see docs/certificates.md). Costs one extra
-  /// evidence pass per expansion; off by default.
+  /// (verify::Certificate; see docs/certificates.md), built from the evidence
+  /// passes the thetas come from, so it costs no extra solve; off by default.
   bool certify = false;
 };
 

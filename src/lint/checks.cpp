@@ -58,9 +58,7 @@ void check_zero_queues(const lis::LisGraph& lis, Report& report) {
 
 // --- L001: zero-token cycle (deadlock) -------------------------------------
 
-void check_deadlock(const lis::LisGraph& lis, Report& report) {
-  if (lis.num_cores() == 0) return;
-  const lis::Expansion doubled = lis::expand_doubled(lis);
+void check_deadlock(const lis::LisGraph& lis, const lis::Expansion& doubled, Report& report) {
   const mg::MarkedGraph& g = doubled.graph;
 
   // A cycle whose places all carry zero tokens can never fire any of its
@@ -306,9 +304,7 @@ void check_throughput(const lis::LisGraph& lis, const LintOptions& options, Repo
 
 // --- L301: cycle-enumeration blowup ----------------------------------------
 
-void check_blowup(const lis::LisGraph& lis, const LintOptions& options, Report& report) {
-  if (lis.num_cores() == 0) return;
-  const lis::Expansion doubled = lis::expand_doubled(lis);
+void check_blowup(const lis::Expansion& doubled, const LintOptions& options, Report& report) {
   const graph::Digraph& g = doubled.graph.structure();
   const graph::SccPartition partition = graph::scc(g);
 
@@ -342,13 +338,14 @@ void check_blowup(const lis::LisGraph& lis, const LintOptions& options, Report& 
 
 // --- L302: oversized queues ------------------------------------------------
 
-void check_oversized_queues(const lis::LisGraph& lis, Report& report) {
+void check_oversized_queues(const lis::LisGraph& lis, const lis::Expansion& doubled,
+                            Report& report) {
   bool any_big = false;
   for (lis::ChannelId c = 0; c < static_cast<lis::ChannelId>(lis.num_channels()); ++c) {
     any_big = any_big || lis.channel(c).queue_capacity > 1;
   }
   if (!any_big) return;  // q = 1 everywhere can never be oversized
-  for (const core::ChannelStorage& s : core::storage_bounds(lis)) {
+  for (const core::ChannelStorage& s : core::storage_bounds(lis, doubled)) {
     if (s.configured_capacity <= 1) continue;
     if (s.occupancy_bound >= s.configured_capacity) continue;
     Diagnostic d = make(
@@ -369,11 +366,12 @@ void check_oversized_queues(const lis::LisGraph& lis, Report& report) {
 
 }  // namespace
 
-Report run_checks(const lis::LisGraph& lis, const LintOptions& options) {
+Report run_checks(const lis::LisGraph& lis, const LintOptions& options,
+                  const lis::Expansion& doubled) {
   Report report;
   // Error tier, catalog order (L001 before L002 in the output even though
   // L002's scan is cheaper — order is part of the rendering contract).
-  check_deadlock(lis, report);
+  check_deadlock(lis, doubled, report);
   check_zero_queues(lis, report);
   check_empty(lis, report);
   if (options.errors_only) return report;
@@ -387,9 +385,13 @@ Report run_checks(const lis::LisGraph& lis, const LintOptions& options) {
   // error-free models; skip them when the error tier fired.
   if (report.has_errors()) return report;
   if (options.target > util::Rational(0)) check_throughput(lis, options, report);
-  check_blowup(lis, options, report);
-  check_oversized_queues(lis, report);
+  check_blowup(doubled, options, report);
+  check_oversized_queues(lis, doubled, report);
   return report;
+}
+
+Report run_checks(const lis::LisGraph& lis, const LintOptions& options) {
+  return run_checks(lis, options, lis::expand_doubled(lis));
 }
 
 Report run_error_checks(const lis::LisGraph& lis) {

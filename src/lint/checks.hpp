@@ -40,6 +40,10 @@ struct LintOptions {
 /// diagnostics depend only on the netlist and the options.
 Report run_checks(const lis::LisGraph& lis, const LintOptions& options = {});
 
+/// The same checks, all reading one already-built `doubled` = expand_doubled(lis).
+Report run_checks(const lis::LisGraph& lis, const LintOptions& options,
+                  const lis::Expansion& doubled);
+
 /// The analyze/size-queues pre-flight: error tier only.
 Report run_error_checks(const lis::LisGraph& lis);
 

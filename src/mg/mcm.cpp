@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <ctime>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -102,13 +99,13 @@ Rational karp_on_scc(const LocalScc& local) {
   return best;
 }
 
-/// True when some cycle of the SCC has mean strictly below p/q: Bellman-Ford
-/// from a virtual source over integer reduced costs q*w(e) - p fails to
-/// stabilize exactly when a negative reduced-cost cycle exists.
-bool has_cycle_mean_below(const LocalScc& local, __int128 p, std::int64_t q) {
-  const auto n = static_cast<std::size_t>(local.n);
-  std::vector<__int128> dist(n, 0);
-  for (int pass = 0; pass <= local.n; ++pass) {
+/// Bellman-Ford from a virtual source joined to every node at cost 0, over
+/// the integer reduced costs q*w(e) - p, for at most `passes` passes into
+/// `dist`. True once a pass relaxes nothing (the distances have settled).
+bool reduced_cost_distances(const LocalScc& local, __int128 p, std::int64_t q, int passes,
+                            std::vector<__int128>& dist) {
+  dist.assign(static_cast<std::size_t>(local.n), 0);
+  for (int pass = 0; pass < passes; ++pass) {
     bool changed = false;
     for (const auto& e : local.edges) {
       const __int128 cand = dist[static_cast<std::size_t>(e.src)] +
@@ -118,9 +115,9 @@ bool has_cycle_mean_below(const LocalScc& local, __int128 p, std::int64_t q) {
         changed = true;
       }
     }
-    if (!changed) return false;
+    if (!changed) return true;
   }
-  return true;
+  return false;
 }
 
 /// The minimum-denominator fraction in the closed interval [a/b, c/d]
@@ -184,12 +181,15 @@ Rational parametric_mcm(const LocalScc& local) {
   __int128 num_hi = wmax + 1;
   std::int64_t q = 1;  // common denominator 2^k
   const __int128 n2 = static_cast<__int128>(local.n) * local.n;
+  std::vector<__int128> dist;
   while ((num_hi - num_lo) * n2 >= q) {
     const __int128 mid = num_lo + num_hi;  // over denominator 2^(k+1)
     LID_ASSERT(q <= std::numeric_limits<std::int64_t>::max() / 2,
                "parametric_mcm: bisection denominator exceeds int64");
     q *= 2;
-    if (has_cycle_mean_below(local, mid, q)) {
+    // Some cycle has mean below mid/q exactly when a negative reduced-cost
+    // cycle keeps the distances from settling within n + 1 passes.
+    if (!reduced_cost_distances(local, mid, q, local.n + 1, dist)) {
       num_hi = mid;
       num_lo *= 2;
     } else {
@@ -218,20 +218,8 @@ Rational exact_fallback_cycle(const LocalScc& local, std::vector<PlaceId>& cycle
   const auto n = static_cast<std::size_t>(local.n);
   const std::int64_t p = mu.num();
   const std::int64_t q = mu.den();
-  // Bellman-Ford from a virtual source connected to every node with cost 0.
-  std::vector<__int128> dist(n, 0);
-  for (int pass = 0; pass < local.n; ++pass) {
-    bool changed = false;
-    for (const auto& e : local.edges) {
-      const __int128 cand = dist[static_cast<std::size_t>(e.src)] +
-                            static_cast<__int128>(q) * e.weight - p;
-      if (cand < dist[static_cast<std::size_t>(e.dst)]) {
-        dist[static_cast<std::size_t>(e.dst)] = cand;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
+  std::vector<__int128> dist;
+  reduced_cost_distances(local, p, q, local.n, dist);
   // Tight edges: dist[dst] == dist[src] + q*w - p. Around a critical cycle
   // all inequalities hold with equality, so the tight subgraph contains a
   // cycle, and every cycle of the tight subgraph has reduced cost 0, i.e.
@@ -387,9 +375,7 @@ Rational howard_on_scc(const LocalScc& local, std::vector<int>& policy, HowardSc
 
   const long max_iterations = 1000L * n + 1000L;
   bool converged = false;
-  long iters_used = 0;
   for (long iter = 0; iter < max_iterations; ++iter) {
-    iters_used = iter + 1;
     evaluate();
     ++rounds;
     bool improved = false;
@@ -443,11 +429,6 @@ Rational howard_on_scc(const LocalScc& local, std::vector<int>& policy, HowardSc
       converged = true;
       break;
     }
-  }
-  if (std::getenv("LID_MCM_DEBUG") != nullptr) {
-    std::fprintf(stderr, "[mcm] scc n=%d e=%zu rounds=%ld converged=%d t=%.3fs\n", n,
-                 local.edges.size(), iters_used, converged ? 1 : 0,
-                 static_cast<double>(std::clock()) / CLOCKS_PER_SEC);
   }
   if (!converged) {
     // Degenerate tie structures can make multichain policy iteration cycle;
@@ -504,19 +485,8 @@ bool potentials_valid(const LocalScc& local, std::int64_t p, std::int64_t q,
 void bellman_ford_potentials(const LocalScc& local, std::int64_t p, std::int64_t q,
                              std::vector<std::int64_t>& s) {
   const auto n = static_cast<std::size_t>(local.n);
-  std::vector<__int128> dist(n, 0);
-  for (int pass = 0; pass < local.n; ++pass) {
-    bool changed = false;
-    for (const auto& e : local.edges) {
-      const __int128 cand = dist[static_cast<std::size_t>(e.src)] +
-                            static_cast<__int128>(q) * e.weight - p;
-      if (cand < dist[static_cast<std::size_t>(e.dst)]) {
-        dist[static_cast<std::size_t>(e.dst)] = cand;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
+  std::vector<__int128> dist;
+  reduced_cost_distances(local, p, q, local.n, dist);
   s.assign(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
     const __int128 val = -dist[v];
@@ -524,15 +494,6 @@ void bellman_ford_potentials(const LocalScc& local, std::int64_t p, std::int64_t
                    val <= std::numeric_limits<std::int64_t>::max(),
                "bellman_ford_potentials: potential exceeds int64");
     s[v] = static_cast<std::int64_t>(val);
-  }
-}
-
-template <typename PerScc>
-void for_each_cyclic_scc(const MarkedGraph& g, PerScc&& per_scc) {
-  const graph::SccPartition part = graph::scc(g.structure());
-  for (int c = 0; c < part.count; ++c) {
-    if (!part.is_cyclic(c, g.structure())) continue;
-    per_scc(make_local(g, part, c));
   }
 }
 
@@ -556,6 +517,13 @@ std::uint64_t structure_fingerprint(const MarkedGraph& g) {
   return h;
 }
 
+/// θ from a graph's minimum-mean cycle (none when the graph is acyclic).
+Rational mst_of(const std::optional<MeanCycle>& critical) {
+  const Rational theta = critical ? Rational::min(Rational(1), critical->mean) : Rational(1);
+  LID_ENSURE(theta.num() != 0, "mst: token-free cycle (deadlocked marked graph)");
+  return theta;
+}
+
 }  // namespace
 
 struct WorkspaceImpl {
@@ -564,7 +532,6 @@ struct WorkspaceImpl {
   std::vector<LocalScc> locals;              // cyclic SCCs, in scc() order
   std::vector<std::vector<int>> policies;    // last policy per local SCC
   HowardScratch scratch;
-  MeanCycle mst_cycle;  // scratch for mst_howard so it allocates nothing warm
   WorkspaceStats stats;
 
   /// Points the cached views at `g`: true when the previous structure matched
@@ -577,9 +544,14 @@ struct WorkspaceImpl {
       }
       return true;
     }
+    rebuild(g, graph::scc(g.structure()), fp);
+    return false;
+  }
+
+  /// Caches `g`'s cyclic SCCs (in `part` order) with no policy: solves start cold.
+  void rebuild(const MarkedGraph& g, const graph::SccPartition& part, std::uint64_t fp) {
     locals.clear();
     policies.clear();
-    const graph::SccPartition part = graph::scc(g.structure());
     for (int c = 0; c < part.count; ++c) {
       if (!part.is_cyclic(c, g.structure())) continue;
       locals.push_back(make_local(g, part, c));
@@ -587,7 +559,6 @@ struct WorkspaceImpl {
     policies.resize(locals.size());
     fingerprint = fp;
     valid = true;
-    return false;
   }
 };
 
@@ -620,32 +591,26 @@ bool min_cycle_mean_howard(const MarkedGraph& g, Workspace& ws, MeanCycle& out) 
   return found;
 }
 
-util::Rational mst_howard(const MarkedGraph& g, Workspace& ws) {
-  MeanCycle& mc = ws.impl_->mst_cycle;
-  if (!min_cycle_mean_howard(g, ws, mc)) return Rational(1);  // acyclic
-  const Rational theta = Rational::min(Rational(1), mc.mean);
-  LID_ENSURE(theta.num() != 0, "mst: token-free cycle (deadlocked marked graph)");
-  return theta;
-}
-
-McmEvidence mcm_evidence(const MarkedGraph& g) {
-  McmEvidence ev;
+McmEvidence mcm_evidence(const MarkedGraph& g, Workspace& ws) {
+  WorkspaceImpl& im = *ws.impl_;
   const graph::SccPartition part = graph::scc(g.structure());
+  im.rebuild(g, part, structure_fingerprint(g));
+
+  McmEvidence ev;
   ev.component = part.comp_of;
   ev.component_cyclic.assign(static_cast<std::size_t>(part.count), 0);
   ev.lambda.assign(static_cast<std::size_t>(part.count), Rational(1));
   ev.potential.assign(g.num_transitions(), 0);
 
-  HowardScratch sc;
-  std::int64_t rounds = 0;
-  bool found = false;
-  MeanCycle best;
+  HowardScratch& sc = im.scratch;
+  std::size_t next_local = 0;  // locals hold the cyclic SCCs in part order
   for (int c = 0; c < part.count; ++c) {
     if (!part.is_cyclic(c, g.structure())) continue;
     ev.component_cyclic[static_cast<std::size_t>(c)] = 1;
-    const LocalScc local = make_local(g, part, c);
-    std::vector<int> policy;
-    const Rational mean = howard_on_scc(local, policy, sc, rounds);
+    const std::size_t i = next_local++;
+    const LocalScc& local = im.locals[i];
+    im.stats.cold_starts += 1;
+    const Rational mean = howard_on_scc(local, im.policies[i], sc, im.stats.improvement_rounds);
     ev.lambda[static_cast<std::size_t>(c)] = mean;
 
     // Candidate potentials from Howard's converged value vector (at
@@ -679,22 +644,26 @@ McmEvidence mcm_evidence(const MarkedGraph& g) {
       ev.potential[static_cast<std::size_t>(members[i])] = s[i];
     }
 
-    if (!found || mean < best.mean) {
-      best.mean = mean;
-      best.cycle = sc.cycle;
-      found = true;
-    }
+    if (!ev.critical || mean < ev.critical->mean) ev.critical = MeanCycle{mean, sc.cycle};
   }
-  if (found) ev.critical = std::move(best);
   return ev;
 }
 
+McmEvidence mcm_evidence(const MarkedGraph& g) {
+  Workspace ws;
+  return mcm_evidence(g, ws);
+}
+
+Rational mst(const McmEvidence& evidence) { return mst_of(evidence.critical); }
+
 std::optional<Rational> min_cycle_mean_karp(const MarkedGraph& g) {
   std::optional<Rational> best;
-  for_each_cyclic_scc(g, [&](const LocalScc& local) {
-    const Rational mean = karp_on_scc(local);
+  const graph::SccPartition part = graph::scc(g.structure());
+  for (int c = 0; c < part.count; ++c) {
+    if (!part.is_cyclic(c, g.structure())) continue;
+    const Rational mean = karp_on_scc(make_local(g, part, c));
     if (!best || mean < *best) best = mean;
-  });
+  }
   return best;
 }
 
@@ -707,28 +676,12 @@ std::optional<MeanCycle> min_cycle_mean_howard(const MarkedGraph& g) {
   return out;
 }
 
-Rational cycle_time(const MarkedGraph& g) {
-  LID_ENSURE(graph::is_strongly_connected(g.structure()), "cycle_time: graph must be strongly connected");
-  const std::optional<MeanCycle> mc = min_cycle_mean_howard(g);
-  LID_ENSURE(mc.has_value(), "cycle_time: graph has no cycle");
-  LID_ENSURE(mc->mean.num() != 0, "cycle_time: token-free cycle makes the cycle time infinite");
-  return Rational(1) / mc->mean;
-}
-
-Rational mst_allowing_deadlock(const MarkedGraph& g) {
+Rational mst(const MarkedGraph& g) {
   // Howard, not Karp: Karp's per-SCC walk table is O(V^2) memory, which is
   // prohibitive on the single giant SCC every doubled graph d[G] collapses
   // into (the backward places make d[G] symmetric). Karp stays available via
   // min_cycle_mean_karp as an independent small-instance cross-check.
-  const std::optional<MeanCycle> mc = min_cycle_mean_howard(g);
-  if (!mc) return Rational(1);  // acyclic
-  return Rational::min(Rational(1), mc->mean);
-}
-
-Rational mst(const MarkedGraph& g) {
-  const Rational theta = mst_allowing_deadlock(g);
-  LID_ENSURE(theta.num() != 0, "mst: token-free cycle (deadlocked marked graph)");
-  return theta;
+  return mst_of(min_cycle_mean_howard(g));
 }
 
 }  // namespace lid::mg

@@ -31,6 +31,9 @@ struct MeanCycle {
   std::vector<PlaceId> cycle;
 };
 
+struct WorkspaceImpl;
+class Workspace;
+
 /// Optimality evidence for a minimum-cycle-mean computation, in the shape an
 /// independent O(E) checker can validate without re-running any solver:
 ///
@@ -40,7 +43,8 @@ struct MeanCycle {
 ///     (a reverse topological order of the condensation), so any cycle stays
 ///     inside one label class;
 ///   * per cyclic component c, a local bound `lambda[c] = p/q` with
-///     lambda[c] >= critical->mean, and integer node potentials
+///     lambda[c] >= critical->mean (mcm_evidence reports c's exact minimum
+///     cycle mean), and integer node potentials
 ///     `potential[t]` (meaning pi_t = potential[t] / q) satisfying, for every
 ///     place u -> v inside c with w tokens,
 ///         q*w - p + potential[v] - potential[u] >= 0.
@@ -58,8 +62,17 @@ struct McmEvidence {
   std::vector<std::int64_t> potential; ///< per transition, scaled by lambda[c].den()
 };
 
-/// Minimum cycle mean with checkable optimality evidence (see McmEvidence).
+/// Minimum cycle mean with checkable optimality evidence (see McmEvidence):
+/// one cold Howard solve per cyclic SCC, in scc() order, from each node's
+/// minimum-weight out-edge.
 McmEvidence mcm_evidence(const MarkedGraph& g);
+
+/// The same cold solve through `ws`, whose converged policies stay behind so
+/// a later min_cycle_mean_howard on g's structure warm-starts from them.
+McmEvidence mcm_evidence(const MarkedGraph& g, Workspace& ws);
+
+/// θ of an evidence pass, exactly mst() of its graph (throws alike).
+util::Rational mst(const McmEvidence& evidence);
 
 /// Counters a Workspace accumulates across solves (never reset).
 struct WorkspaceStats {
@@ -68,13 +81,10 @@ struct WorkspaceStats {
   std::int64_t improvement_rounds = 0;  ///< total policy-iteration rounds run
 };
 
-struct WorkspaceImpl;
-class Workspace;
-
 /// Minimum cycle mean via Karp's algorithm, or nullopt if `g` is acyclic.
 /// Independent correctness reference for cross-checks; its per-SCC walk
 /// table costs O(V^2) memory, so keep it to small instances — every
-/// production path (mst, cycle_time, analysis, certificates) runs Howard.
+/// production path (mst, analysis, certificates) runs Howard.
 std::optional<util::Rational> min_cycle_mean_karp(const MarkedGraph& g);
 
 /// Minimum cycle mean and one critical cycle via Howard's policy iteration,
@@ -88,11 +98,6 @@ std::optional<MeanCycle> min_cycle_mean_howard(const MarkedGraph& g);
 /// warm-started solve may report a *different* (equally minimal) critical
 /// cycle than a cold one.
 bool min_cycle_mean_howard(const MarkedGraph& g, Workspace& ws, MeanCycle& out);
-
-/// Maximal sustainable throughput via the workspace-backed Howard solver.
-/// Exactly equal to mst() — both use exact rationals — but allocation-free
-/// once the workspace is warm. Throws like mst() on a token-free cycle.
-util::Rational mst_howard(const MarkedGraph& g, Workspace& ws);
 
 /// Reusable state for warm-started Howard solves: cached SCC views, the last
 /// converged policy per SCC, and every scratch vector the kernel needs.
@@ -118,22 +123,14 @@ class Workspace {
 
  private:
   friend bool min_cycle_mean_howard(const MarkedGraph& g, Workspace& ws, MeanCycle& out);
-  friend util::Rational mst_howard(const MarkedGraph& g, Workspace& ws);
+  friend McmEvidence mcm_evidence(const MarkedGraph& g, Workspace& ws);
 
   std::unique_ptr<WorkspaceImpl> impl_;
 };
-
-/// Cycle time π(G) = 1 / minimum cycle mean. Requires `g` to be strongly
-/// connected with at least one cycle; throws std::invalid_argument otherwise
-/// (including on a token-free critical cycle, whose cycle time is infinite).
-util::Rational cycle_time(const MarkedGraph& g);
 
 /// Maximal sustainable throughput θ(g) per the definition above.
 /// Throws std::invalid_argument if some cycle carries no token (deadlock —
 /// the throughput would be zero and the LIS model forbids such markings).
 util::Rational mst(const MarkedGraph& g);
-
-/// Like mst() but deadlocked graphs report throughput 0 instead of throwing.
-util::Rational mst_allowing_deadlock(const MarkedGraph& g);
 
 }  // namespace lid::mg

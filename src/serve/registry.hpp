@@ -6,8 +6,8 @@
 // the same fingerprint. Each resident model pools:
 //
 //   * the parsed Instance (no per-request parse),
-//   * an engine::AnalysisCache (expansions, MSTs, degradation/rate-safety
-//     reports, the queue-sizing cycle enumeration, the Howard workspace),
+//   * an engine::AnalysisCache (G and d[G] with their evidence passes, the
+//     queue-sizing cycle enumeration, the Howard workspace),
 //   * a payload memo: verb+args -> the exact result payload bytes, so a
 //     repeated query is a lookup instead of a solve.
 //

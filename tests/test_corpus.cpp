@@ -1,15 +1,21 @@
 // Regression corpus: twenty checked-in netlists spanning the generator's
 // regimes (scc/any insertion, tori, pipelined cores) with their expected
-// ideal/practical MSTs and exact queue-sizing totals recorded in a manifest.
-// Any analysis change that shifts a number shows up here immediately.
+// ideal/practical MSTs, exact queue-sizing totals and the FNV-1a 64 hash of
+// their certified `analyze` payload recorded in a manifest. Any analysis
+// change that shifts a number, or a single byte of a served certified
+// verdict, shows up here immediately.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "core/queue_sizing.hpp"
 #include "lis/netlist_io.hpp"
+#include "serve/protocol.hpp"
+#include "util/json.hpp"
 #include "util/rational.hpp"
 
 #ifndef LID_DATA_DIR
@@ -24,6 +30,7 @@ struct Expectation {
   util::Rational ideal;
   util::Rational practical;
   std::int64_t exact_tokens = 0;
+  std::string payload_hash;  ///< FNV-1a 64 of the certified analyze payload
 };
 
 util::Rational parse_rational(const std::string& text) {
@@ -43,7 +50,7 @@ std::vector<Expectation> load_manifest() {
     Expectation e;
     std::string ideal;
     std::string practical;
-    row >> e.file >> ideal >> practical >> e.exact_tokens;
+    row >> e.file >> ideal >> practical >> e.exact_tokens >> e.payload_hash;
     e.ideal = parse_rational(ideal);
     e.practical = parse_rational(practical);
     expectations.push_back(std::move(e));
@@ -52,13 +59,41 @@ std::vector<Expectation> load_manifest() {
   return expectations;
 }
 
+/// FNV-1a 64 of `bytes` as 16 hex digits.
+std::string fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
+}
+
+/// The certified `analyze` payload for `netlist`, as the service renders it.
+std::string certified_analyze_payload(const std::string& netlist) {
+  util::JsonWriter w;
+  w.begin_object().key("verb").value("analyze").key("netlist").value(netlist);
+  w.key("certify").value(true).end_object();
+  const Result<serve::Request> request = serve::parse_request(w.str());
+  EXPECT_TRUE(request.ok());
+  const serve::Outcome outcome = serve::execute(*request);
+  EXPECT_TRUE(outcome.ok) << outcome.error_message;
+  return outcome.payload;
+}
+
 TEST(Corpus, EveryRecordedValueStillHolds) {
   for (const Expectation& e : load_manifest()) {
     SCOPED_TRACE(e.file);
-    const lis::LisGraph system =
-        lis::load_netlist(std::string(LID_DATA_DIR) + "/corpus/" + e.file);
+    const std::string path = std::string(LID_DATA_DIR) + "/corpus/" + e.file;
+    const lis::LisGraph system = lis::load_netlist(path);
     EXPECT_EQ(lis::ideal_mst(system), e.ideal);
     EXPECT_EQ(lis::practical_mst(system), e.practical);
+    std::ifstream text(path);
+    std::stringstream netlist;
+    netlist << text.rdbuf();
+    EXPECT_EQ(fnv1a64(certified_analyze_payload(netlist.str())), e.payload_hash);
     if (e.exact_tokens < 0) continue;  // recorded as timed out at capture time
     core::QsOptions options;
     options.method = core::QsMethod::kExact;

@@ -14,6 +14,7 @@
 #include "core/qs_problem.hpp"
 #include "core/queue_sizing.hpp"
 #include "engine/analysis_cache.hpp"
+#include "engine/cached_analysis.hpp"
 #include "engine/engine.hpp"
 #include "engine/metrics.hpp"
 #include "engine/task_pool.hpp"
@@ -207,14 +208,26 @@ TEST(AnalysisCache, AgreesWithUncachedEntryPoints) {
 TEST(AnalysisCache, MemoizesEveryIntermediate) {
   const std::vector<Instance> instances = make_instances(1);
   AnalysisCache cache(instances[0].graph());
-  (void)cache.ideal();
-  (void)cache.doubled();
+  // Every verdict of a certified analysis reads one evidence pass per
+  // expansion: the thetas, the critical cycle, rate safety and the
+  // certificate together miss exactly once for G and once for d[G].
   (void)cache.theta_ideal();
   (void)cache.theta_practical();
+  (void)cache.degradation();
+  (void)cache.rate_safety();
+  AnalyzeOptions certified;
+  certified.certify = true;
+  const Result<Analysis> analysis = analyze_cached(cache, instances[0], certified);
+  ASSERT_TRUE(analysis.ok()) << analysis.error().to_string();
+  ASSERT_TRUE(analysis->certificate.has_value());
+  EXPECT_EQ(cache.misses(), 2);
+
   (void)cache.qs_problem();
   const std::int64_t misses = cache.misses();
+  EXPECT_EQ(misses, 3);
   // Everything is now resident: no query below may miss.
   (void)cache.ideal();
+  (void)cache.doubled();
   (void)cache.theta_ideal();
   (void)cache.theta_practical();
   (void)cache.qs_problem();

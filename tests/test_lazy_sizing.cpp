@@ -269,9 +269,14 @@ TEST(McmWorkspace, StructureChangeDemotesToColdStartNeverWrongAnswer) {
   EXPECT_EQ(out.mean, mg::min_cycle_mean_howard(a)->mean);
 }
 
-TEST(McmWorkspace, MstHowardEqualsKarpMstEverywhere) {
+TEST(McmWorkspace, WorkspaceHowardEqualsMstEverywhere) {
   util::Rng rng(99);
   mg::Workspace ws;
+  mg::MeanCycle out;
+  const auto workspace_mst = [&](const mg::MarkedGraph& g) {
+    return mg::min_cycle_mean_howard(g, ws, out) ? util::Rational::min(util::Rational(1), out.mean)
+                                                 : util::Rational(1);
+  };
   for (int trial = 0; trial < 8; ++trial) {
     gen::GeneratorParams params;
     params.vertices = rng.uniform_int(6, 16);
@@ -281,9 +286,32 @@ TEST(McmWorkspace, MstHowardEqualsKarpMstEverywhere) {
     const lis::LisGraph lis = gen::generate(params, rng);
     const mg::MarkedGraph ideal = lis::expand_ideal(lis).graph;
     const mg::MarkedGraph doubled = lis::expand_doubled(lis).graph;
-    EXPECT_EQ(mg::mst_howard(ideal, ws), mg::mst(ideal)) << "trial " << trial;
-    EXPECT_EQ(mg::mst_howard(doubled, ws), mg::mst(doubled)) << "trial " << trial;
+    EXPECT_EQ(workspace_mst(ideal), mg::mst(ideal)) << "trial " << trial;
+    EXPECT_EQ(workspace_mst(doubled), mg::mst(doubled)) << "trial " << trial;
   }
+}
+
+TEST(McmWorkspace, EvidenceIsColdAndLeavesItsPolicyBehind) {
+  const lis::Expansion expansion = lis::expand_doubled(lis::make_fig15_counterexample());
+  mg::Workspace ws;
+  // Cold even when the workspace already holds this structure.
+  mg::MeanCycle out;
+  ASSERT_TRUE(mg::min_cycle_mean_howard(expansion.graph, ws, out));
+  const mg::McmEvidence pooled = mg::mcm_evidence(expansion.graph, ws);
+  const mg::McmEvidence fresh = mg::mcm_evidence(expansion.graph);
+  ASSERT_TRUE(pooled.critical.has_value() && fresh.critical.has_value());
+  EXPECT_EQ(pooled.critical->mean, fresh.critical->mean);
+  EXPECT_EQ(pooled.critical->cycle, fresh.critical->cycle);
+  EXPECT_EQ(pooled.component, fresh.component);
+  EXPECT_EQ(pooled.lambda, fresh.lambda);
+  EXPECT_EQ(pooled.potential, fresh.potential);
+  EXPECT_EQ(ws.stats().warm_restarts, 0);
+
+  // The converged policy stays behind: a re-solve of the same structure
+  // warm-starts and agrees.
+  ASSERT_TRUE(mg::min_cycle_mean_howard(expansion.graph, ws, out));
+  EXPECT_GT(ws.stats().warm_restarts, 0);
+  EXPECT_EQ(out.mean, fresh.critical->mean);
 }
 
 }  // namespace

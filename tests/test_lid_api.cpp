@@ -151,6 +151,73 @@ TEST(Analyze, CofdmSocIsTheCaseStudy) {
   EXPECT_LE(a->theta_practical, a->theta_ideal);
 }
 
+TEST(Analyze, CertifiedMatchesUncertified) {
+  // A certified analysis takes its witnesses from the same evidence passes
+  // as its verdict; every field but the certificate must match a plain run.
+  std::vector<Instance> instances = {Instance::wrap(lis::make_two_core_example()),
+                                     Instance::wrap(lis::make_two_core_example_sized()),
+                                     Instance::wrap(lis::make_fig15_counterexample()),
+                                     cofdm_soc()};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    GenerateOptions gen;
+    gen.cores = 30;
+    gen.sccs = 3;
+    gen.relay_stations = 8;
+    gen.rs_anywhere = seed % 2 == 0;
+    gen.seed = seed;
+    instances.push_back(generate(gen).value());
+  }
+  for (const Instance& instance : instances) {
+    SCOPED_TRACE(instance.name());
+    const Result<Analysis> plain = analyze(instance);
+    AnalyzeOptions options;
+    options.certify = true;
+    const Result<Analysis> certified = analyze(instance, options);
+    ASSERT_TRUE(plain.ok());
+    ASSERT_TRUE(certified.ok());
+    EXPECT_FALSE(plain->certificate.has_value());
+    ASSERT_TRUE(certified->certificate.has_value());
+    EXPECT_EQ(certified->cores, plain->cores);
+    EXPECT_EQ(certified->channels, plain->channels);
+    EXPECT_EQ(certified->relay_stations, plain->relay_stations);
+    EXPECT_EQ(certified->topology, plain->topology);
+    EXPECT_EQ(certified->theta_ideal, plain->theta_ideal);
+    EXPECT_EQ(certified->theta_practical, plain->theta_practical);
+    EXPECT_EQ(certified->degraded, plain->degraded);
+    EXPECT_EQ(certified->critical_cycle, plain->critical_cycle);
+    EXPECT_EQ(certified->rate_hazards, plain->rate_hazards);
+    EXPECT_EQ(certified->rate_safe, plain->rate_safe);
+    const Result<verify::CheckResult> checked =
+        verify_certificate(instance, *certified->certificate);
+    ASSERT_TRUE(checked.ok());
+    EXPECT_TRUE(checked->ok) << checked->detail;
+  }
+}
+
+TEST(Analyze, DisabledPreflightStillRejectsADeadlockedNetlist) {
+  // Without the lint pre-flight a deadlocked d[G] reaches the solver, which
+  // must refuse it with the token-free-cycle invalid-argument error,
+  // certified or not (only the source location in the message may differ).
+  const Result<Instance> dead =
+      parse_netlist("core A\ncore B\nchannel A -> B q=0\nchannel B -> A q=0\n");
+  ASSERT_TRUE(dead.ok());
+  for (const bool certify : {false, true}) {
+    AnalyzeOptions options;
+    options.preflight = false;
+    options.certify = certify;
+    const Result<Analysis> a = analyze(*dead, options);
+    ASSERT_FALSE(a.ok());
+    EXPECT_EQ(a.error().code, ErrorCode::kInvalidArgument);
+    const std::string& message = a.error().message;
+    EXPECT_EQ(message.rfind("precondition failed: (critical->mean.num() != 0) at ", 0), 0u)
+        << message;
+    const std::string tail =
+        " — explain_degradation: token-free cycle (deadlocked doubled graph)";
+    ASSERT_GE(message.size(), tail.size());
+    EXPECT_EQ(message.substr(message.size() - tail.size()), tail) << message;
+  }
+}
+
 TEST(SizeQueues, RestoresTheIdealMst) {
   const Instance two = Instance::wrap(lis::make_two_core_example());
   const Result<Sizing> s = size_queues(two);

@@ -112,11 +112,6 @@ TEST(Mcm, HowardReturnsCriticalCycle) {
   EXPECT_EQ(g.cycle_tokens(mc->cycle), 5);
 }
 
-TEST(Mcm, CycleTimeIsReciprocal) {
-  EXPECT_EQ(cycle_time(token_ring(6, 1)), Rational(6, 5));
-  EXPECT_THROW(cycle_time(token_ring(3, 3)), std::invalid_argument);  // dead
-}
-
 TEST(Mcm, MstTakesSlowestScc) {
   // Ring with mean 2/3 feeding a ring with mean 3/4: MST is 2/3.
   MarkedGraph g;
@@ -133,10 +128,11 @@ TEST(Mcm, MstTakesSlowestScc) {
   EXPECT_EQ(mst(g), Rational(2, 3));
 }
 
-TEST(Mcm, DeadlockedGraphThrowsButAllowingVariantReturnsZero) {
+TEST(Mcm, DeadlockedGraphThrowsAndHasAZeroMeanCycle) {
   MarkedGraph g = token_ring(3, 3);
   EXPECT_THROW(mst(g), std::invalid_argument);
-  EXPECT_EQ(mst_allowing_deadlock(g), Rational(0));
+  EXPECT_THROW(mst(mcm_evidence(g)), std::invalid_argument);
+  EXPECT_EQ(min_cycle_mean_howard(g)->mean, Rational(0));
 }
 
 /// Random strongly connected LIS-like marked graph: a Hamiltonian ring plus
@@ -278,7 +274,7 @@ TEST_P(SimulationVsAnalysis, ThroughputEqualsMstOnStrongGraphs) {
   util::Rng rng(GetParam());
   for (int trial = 0; trial < 15; ++trial) {
     const MarkedGraph g = random_strong_graph(rng);
-    if (mst_allowing_deadlock(g) == Rational(0)) continue;
+    if (min_cycle_mean_howard(g)->mean == Rational(0)) continue;  // deadlocked
     const Rational theta = mst(g);
     const SimulationResult r = simulate(g, 20000);
     ASSERT_TRUE(r.periodic_found) << "no recurrence within budget";
