@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "lid_api.hpp"
-#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/retry.hpp"
 #include "serve/server.hpp"
@@ -77,12 +76,13 @@ void BM_SocketRoundTrip(benchmark::State& state) {
     state.SkipWithError("server failed to start");
     return;
   }
-  Result<serve::Client> connected = serve::Client::connect_unix(options.unix_socket);
+  Result<serve::Session> connected =
+      serve::Session::connect_unix(options.unix_socket, {.protocol = 1});
   if (!connected) {
     state.SkipWithError("client failed to connect");
     return;
   }
-  serve::Client client = std::move(connected).value();
+  serve::Session client = std::move(connected).value();
   const std::string line = analyze_request_line(20, 7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.call(line));
@@ -101,12 +101,13 @@ void BM_PingRoundTrip(benchmark::State& state) {
     state.SkipWithError("server failed to start");
     return;
   }
-  Result<serve::Client> connected = serve::Client::connect_unix(options.unix_socket);
+  Result<serve::Session> connected =
+      serve::Session::connect_unix(options.unix_socket, {.protocol = 1});
   if (!connected) {
     state.SkipWithError("client failed to connect");
     return;
   }
-  serve::Client client = std::move(connected).value();
+  serve::Session client = std::move(connected).value();
   const std::string line = R"({"id": 1, "verb": "ping"})";
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.call(line));
@@ -192,7 +193,7 @@ void BM_RegisteredAnalyzeRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_RegisteredAnalyzeRoundTrip)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /// Retry-path overhead: the RetryingClient wrapper around a healthy server
-/// (no faults, every call succeeds first try) against the bare Client of
+/// (no faults, every call succeeds first try) against the bare Session of
 /// BM_PingRoundTrip — the cost of the validation + bookkeeping layer alone.
 void BM_RetryOverhead(benchmark::State& state) {
   serve::ServerOptions options;
@@ -206,7 +207,8 @@ void BM_RetryOverhead(benchmark::State& state) {
   serve::RetryPolicy policy;
   policy.max_attempts = 3;
   serve::RetryingClient client(
-      [&]() { return serve::Client::connect_unix(options.unix_socket); }, policy);
+      [&]() { return serve::Session::connect_unix(options.unix_socket, {.protocol = 1}); },
+      policy);
   const std::string line = R"({"id": 1, "verb": "ping"})";
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.call(line));

@@ -1,12 +1,6 @@
 #include "serve/cluster.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,10 +11,8 @@
 #include <ostream>
 #include <utility>
 
-#include "serve/frame.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
-#include "serve/session.hpp"
 #include "util/json.hpp"
 
 namespace lid::serve {
@@ -34,29 +26,18 @@ void sleep_ms(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-/// A worker response must be a JSON object with a boolean `ok` to be
-/// forwarded; anything else (torn line, injected garbage) is a transport
-/// failure and the request fails over.
-bool well_formed_response(const std::string& line, util::Json* parsed_out) {
-  const util::JsonParse parsed = util::json_parse(line);
-  if (!parsed || !parsed.value.is_object()) return false;
-  const util::Json* ok = parsed.value.find("ok");
-  if (ok == nullptr || !ok->is_bool()) return false;
-  if (parsed_out != nullptr) *parsed_out = parsed.value;
-  return true;
+/// A plain v1 upstream session: forwarded lines carry everything, so the
+/// router sends no `hello` and reads responses exactly as workers wrote them.
+SessionOptions upstream_options(double connect_timeout_ms, double timeout_ms) {
+  return {.protocol = 1, .timeout_ms = timeout_ms, .connect_timeout_ms = connect_timeout_ms};
 }
 
-/// The `error.code` of a well-formed failure response ("" for ok:true).
-std::string response_error_code(const util::Json& response) {
-  const util::Json* ok = response.find("ok");
-  if (ok != nullptr && ok->is_bool() && ok->as_bool()) return "";
-  if (const util::Json* error = response.find("error");
-      error != nullptr && error->is_object()) {
-    if (const util::Json* code = error->find("code"); code != nullptr && code->is_string()) {
-      return code->as_string();
-    }
-  }
-  return "unknown";
+/// The `verb` of a request that parse_request refused ("" when there is
+/// none): a router verb still answers its own malformed requests.
+std::string verb_of(const std::string& text) {
+  const util::JsonParse parsed = util::json_parse(text);
+  const util::Json* verb = parsed ? parsed.value.find("verb") : nullptr;
+  return verb != nullptr ? verb->as_string() : "";
 }
 
 }  // namespace
@@ -132,6 +113,12 @@ struct Cluster::Worker {
   bool breaker_open = false;
   util::Timer breaker_opened_at;
 
+  /// Held by a connection from registering a model here through the query
+  /// that needs it: every registration through the router takes it, so
+  /// none can evict that model in between (the worker's registry evicts
+  /// never-queried models first). Waits for it are bounded (lock_placement).
+  std::timed_mutex placement_mutex;
+
   /// Models registered on this worker, valid for `models_generation` only.
   std::mutex models_mutex;
   std::int64_t models_generation = 1;
@@ -169,28 +156,16 @@ struct Cluster::Worker {
   }
 };
 
-/// One accepted client connection: the fd, negotiated protocol, and this
-/// connection's cached backend connections (thread-confined to the
-/// connection thread — forwarding is synchronous, so no locking).
-struct Cluster::Connection {
-  int fd = -1;
-  std::uint64_t id = 0;
-  int protocol = 1;
-  /// Lazily connected backend per worker, tagged with the worker generation
-  /// it was opened against (a restart invalidates it).
-  struct Backend {
-    std::unique_ptr<Client> client;
-    std::int64_t generation = 0;
-  };
-  std::vector<Backend> backends;
-
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
 Cluster::Cluster(ClusterOptions options)
-    : options_(std::move(options)), ring_(options_.ring_replicas) {
+    : options_(std::move(options)),
+      ring_(options_.ring_replicas),
+      listener_("lid_cluster", options_.max_request_bytes, FaultPlan{}, nullptr,
+                [this](const std::shared_ptr<Connection>& connection) -> Listener::Handler {
+                  auto backends = std::make_shared<Backends>(workers_.size());
+                  return [this, connection, backends](Message& message) {
+                    handle_message(*connection, *backends, message);
+                  };
+                }) {
   if (options_.eject_after < 1) options_.eject_after = 1;
   for (std::size_t i = 0; i < options_.workers.size(); ++i) {
     auto worker = std::make_unique<Worker>();
@@ -275,33 +250,24 @@ void Cluster::reap_worker(Worker& worker) {
 }
 
 bool Cluster::probe_worker(Worker& worker) {
-  SessionOptions session_options;
-  session_options.hello = false;  // plain v1 probe
-  session_options.connect_timeout_ms = options_.connect_timeout_ms;
-  session_options.timeout_ms = options_.probe_timeout_ms;
-  Result<Session> connected = Session::connect_unix(worker.spec.unix_socket, session_options);
+  Result<Session> connected = Session::connect_unix(
+      worker.spec.unix_socket,
+      upstream_options(options_.connect_timeout_ms, options_.probe_timeout_ms));
   bool ok = false;
   if (connected) {
     Session session = std::move(connected).value();
-    const Result<std::string> response = session.call("{\"verb\":\"stats\"}");
-    util::Json parsed;
-    if (response && well_formed_response(*response, &parsed) &&
-        response_error_code(parsed).empty()) {
+    const Result<std::string> response = session.call(R"({"verb":"stats"})");
+    const Result<ResponseEnvelope> envelope =
+        response ? decode_response(*response) : Result<ResponseEnvelope>(response.error());
+    if (envelope && envelope->ok) {
       ok = true;
       // Identity tracking: a changed pid or start time is a restart the
       // router did not perform — distrust everything about the old process.
-      std::int64_t pid = 0;
-      std::int64_t start_ms = 0;
-      if (const util::Json* result = parsed.find("result");
-          result != nullptr && result->is_object()) {
-        if (const util::Json* v = result->find("pid"); v != nullptr && v->is_number()) {
-          pid = v->as_int();
-        }
-        if (const util::Json* v = result->find("start_unix_ms");
-            v != nullptr && v->is_number()) {
-          start_ms = v->as_int();
-        }
-      }
+      const Result<const util::Json*> result = envelope->result();
+      const util::Json* pid_json = result ? (*result)->find("pid") : nullptr;
+      const util::Json* start_json = result ? (*result)->find("start_unix_ms") : nullptr;
+      const std::int64_t pid = pid_json != nullptr ? pid_json->as_int() : 0;
+      const std::int64_t start_ms = start_json != nullptr ? start_json->as_int() : 0;
       const std::int64_t old_pid = worker.reported_pid.exchange(pid);
       const std::int64_t old_start = worker.reported_start_unix_ms.exchange(start_ms);
       if (old_pid != 0 && (old_pid != pid || old_start != start_ms)) {
@@ -333,14 +299,14 @@ bool Cluster::probe_worker(Worker& worker) {
 }
 
 void Cluster::prober_loop() {
-  while (!stop_requested_.load()) {
+  while (!listener_.stopping()) {
     for (const std::unique_ptr<Worker>& worker : workers_) {
-      if (stop_requested_.load()) return;
+      if (listener_.stopping()) return;
       probe_worker(*worker);
     }
     // Finite dozes so a stop request is honored promptly.
     double remaining = options_.probe_interval_ms;
-    while (remaining > 0.0 && !stop_requested_.load()) {
+    while (remaining > 0.0 && !listener_.stopping()) {
       const double nap = std::min(remaining, 20.0);
       sleep_ms(nap);
       remaining -= nap;
@@ -392,81 +358,15 @@ Status Cluster::start() {
     for (const std::unique_ptr<Worker>& worker : workers_) ring_.add(worker->index);
   }
 
-  // Front door (same shape as Server::start).
-  if (!options_.unix_socket.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.unix_socket.size() >= sizeof(addr.sun_path)) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "unix socket path too long: " + options_.unix_socket};
-    }
-    std::strncpy(addr.sun_path, options_.unix_socket.c_str(), sizeof(addr.sun_path) - 1);
-    ::unlink(options_.unix_socket.c_str());
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return errno_error("socket(AF_UNIX)");
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const Error error = errno_error("bind('" + options_.unix_socket + "')");
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return error;
-    }
-    unlink_on_close_ = true;
-    endpoint_ = "unix:" + options_.unix_socket;
-  } else if (options_.tcp_port >= 0) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return errno_error("socket(AF_INET)");
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(options_.tcp_port));
-    if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return Error{ErrorCode::kInvalidArgument, "bad host address '" + options_.host + "'"};
-    }
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const Error error = errno_error("bind(" + options_.host + ")");
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return error;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-      resolved_port_ = ntohs(bound.sin_port);
-    }
-    endpoint_ = "tcp:" + options_.host + ":" + std::to_string(resolved_port_);
-  } else {
-    return Error{ErrorCode::kInvalidArgument, "no endpoint: set unix_socket or tcp_port"};
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    const Error error = errno_error("listen");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return error;
-  }
-  if (::pipe(stop_pipe_) != 0) {
-    const Error error = errno_error("pipe");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return error;
-  }
-  for (const int fd : stop_pipe_) ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  const Status listening = listener_.start(options_.unix_socket, options_.tcp_port, options_.host);
+  if (!listening) return listening;
   prober_thread_ = std::thread([this] { prober_loop(); });
   log_line("started", nullptr,
-           endpoint_ + ", " + std::to_string(workers_.size()) + " workers");
+           listener_.endpoint() + ", " + std::to_string(workers_.size()) + " workers");
   return Unit{};
 }
 
-void Cluster::request_stop() {
-  if (stop_pipe_[1] >= 0) {
-    const char byte = 's';
-    [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
-  }
-}
+void Cluster::request_stop() { listener_.request_stop(); }
 
 void Cluster::stop() {
   request_stop();
@@ -476,27 +376,8 @@ void Cluster::stop() {
 void Cluster::wait() {
   const std::lock_guard<std::mutex> lock(lifecycle_mutex_);
   if (finished_ || !started_) return;
-  if (accept_thread_.joinable()) accept_thread_.join();
-  stop_requested_.store(true);
+  listener_.wait();  // front door closed, every admitted request answered
   if (prober_thread_.joinable()) prober_thread_.join();
-  {
-    const std::lock_guard<std::mutex> connections_lock(connections_mutex_);
-    for (std::thread& t : connection_threads_) {
-      if (t.joinable()) t.join();
-    }
-    connection_threads_.clear();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (unlink_on_close_) ::unlink(options_.unix_socket.c_str());
-  for (int& fd : stop_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
   // Spawned workers drain and exit on SIGTERM; reap them so no zombies
   // outlive the router.
   for (const std::unique_ptr<Worker>& worker : workers_) {
@@ -512,210 +393,32 @@ void Cluster::wait() {
   finished_ = true;
 }
 
-void Cluster::accept_loop() {
-  while (true) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if ((fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    ::fcntl(client, F_SETFD, FD_CLOEXEC);
-    auto connection = std::make_shared<Connection>();
-    connection->fd = client;
-    connection->id = next_connection_id_.fetch_add(1) + 1;
-    connection->backends.resize(workers_.size());
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connection_threads_.emplace_back([this, connection = std::move(connection)]() mutable {
-      connection_loop(std::move(connection));
+void Cluster::handle_message(Connection& connection, Backends& backends, Message& message) {
+  const Result<Request>& parsed = message.request;
+  const std::string verb = parsed ? parsed->verb : verb_of(message.text);
+  const int protocol = connection.protocol.load();
+  const bool admin_verb = verb == "cluster-stats" || verb == "drain-worker" ||
+                          verb == "rejoin-worker" || verb == "restart-worker";
+  std::string response;
+  if (!parsed && (admin_verb || verb == "hello" || verb == "stats")) {
+    response = error_line("null", verb, wire_code(parsed.error().code), parsed.error().message,
+                          protocol);
+  } else if (verb == "hello") {
+    listener_.hello(connection, *parsed, message.binary, [this](util::JsonWriter& w) {
+      w.key("workers").value(static_cast<std::int64_t>(workers_.size()));
     });
-  }
-  stop_requested_.store(true);
-}
-
-void Cluster::connection_loop(std::shared_ptr<Connection> connection) {
-  std::string buffer;
-  char chunk[65536];
-  while (!stop_requested_.load()) {
-    pollfd pfd{connection->fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (rc == 0) continue;
-    if ((pfd.revents & (POLLIN | POLLHUP)) == 0) break;
-    const ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      break;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-
-    bool hangup = false;
-    while (!hangup && !buffer.empty()) {
-      if (starts_frame(buffer)) {
-        const FrameDecode frame = decode_frame(buffer, options_.max_request_bytes);
-        if (frame.status == FrameStatus::kNeedMore) break;
-        if (frame.status == FrameStatus::kBad) {
-          const std::string line =
-              error_line("null", "", frame.error_code, frame.error, connection->protocol);
-          const std::string framed = frame_message(line);
-          (void)::send(connection->fd, framed.data(), framed.size(), MSG_NOSIGNAL);
-          hangup = true;
-          break;
-        }
-        std::string payload = frame.payload;
-        buffer.erase(0, frame.consumed);
-        handle_message(*connection, std::move(payload), /*binary=*/true);
-        continue;
-      }
-      const std::size_t newline = buffer.find('\n');
-      if (newline == std::string::npos) break;
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      handle_message(*connection, std::move(line), /*binary=*/false);
-    }
-    if (hangup) break;
-    if (!starts_frame(buffer) && buffer.size() > options_.max_request_bytes) {
-      const std::string line =
-          error_line("null", "", codes::kTooLarge,
-                     "request line exceeds " + std::to_string(options_.max_request_bytes) +
-                         " bytes",
-                     connection->protocol);
-      const std::string framed = line + "\n";
-      (void)::send(connection->fd, framed.data(), framed.size(), MSG_NOSIGNAL);
-      break;
-    }
-  }
-}
-
-namespace {
-
-/// Writes one response (in the transport of its request) to the client.
-void send_to_client(int fd, const std::string& line, bool binary) {
-  std::string framed = binary ? frame_message(line) : line + "\n";
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // client gone; drop the response
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-}  // namespace
-
-void Cluster::handle_message(Connection& connection, std::string text, bool binary) {
-  if (!binary && !text.empty() && text.back() == '\r') text.pop_back();
-  if (text.empty()) return;
-  if (text.size() > options_.max_request_bytes) {
-    send_to_client(connection.fd,
-                   error_line("null", "", codes::kTooLarge,
-                              "request of " + std::to_string(text.size()) +
-                                  " bytes exceeds the limit of " +
-                                  std::to_string(options_.max_request_bytes),
-                              connection.protocol),
-                   binary);
     return;
+  } else if (admin_verb) {
+    response = admin(*parsed, protocol);
+  } else if (verb == "stats") {
+    response = aggregate_stats(backends, *parsed, protocol);
+  } else {
+    // Everything else forwards verbatim (workers answer their own parse
+    // errors, keeping the router transparent).
+    admitted_.fetch_add(1);
+    response = forward(backends, message, verb, protocol);
   }
-
-  // Router-handled verbs peek at the request; everything else forwards
-  // verbatim (workers answer their own parse errors, keeping the router
-  // transparent).
-  std::string verb;
-  if (const util::JsonParse parsed = util::json_parse(text);
-      parsed && parsed.value.is_object()) {
-    if (const util::Json* v = parsed.value.find("verb"); v != nullptr && v->is_string()) {
-      verb = v->as_string();
-    }
-  }
-  if (verb == "hello") {
-    handle_hello(connection, text, binary);
-    return;
-  }
-  if (verb == "cluster-stats" || verb == "drain-worker" || verb == "rejoin-worker" ||
-      verb == "restart-worker") {
-    handle_admin(connection, verb, text, binary);
-    return;
-  }
-  if (verb == "stats") {
-    handle_aggregate_stats(connection, text, binary);
-    return;
-  }
-
-  admitted_.fetch_add(1);
-  const std::string response = forward(connection, text);
-  send_to_client(connection.fd, response, binary);
-}
-
-void Cluster::handle_hello(Connection& connection, const std::string& text, bool binary) {
-  const Result<Request> parsed = parse_request(text);
-  if (!parsed) {
-    send_to_client(connection.fd,
-                   error_line("null", "hello", wire_code(parsed.error().code),
-                              parsed.error().message, connection.protocol),
-                   binary);
-    return;
-  }
-  const Request& request = *parsed;
-  int wanted = kProtocolVersion;
-  if (const util::Json* v = request.args.find("protocol"); v != nullptr && v->is_number()) {
-    wanted = static_cast<int>(v->as_int());
-  }
-  if (wanted < kProtocolVersionMin || wanted > kProtocolVersion) {
-    send_to_client(
-        connection.fd,
-        response_line(request,
-                      Outcome::failure(codes::kUnsupportedVersion,
-                                       "protocol " + std::to_string(wanted) +
-                                           " is not supported (this router speaks " +
-                                           std::to_string(kProtocolVersionMin) + ".." +
-                                           std::to_string(kProtocolVersion) + ")"),
-                      0.0, 0.0, connection.protocol),
-        binary);
-    return;
-  }
-  connection.protocol = wanted;
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("protocol").value(wanted);
-  w.key("server").value("lid_cluster");
-  w.key("transports").begin_array().value("ndjson").value("binary").end_array();
-  w.key("transport").value(binary ? "binary" : "ndjson");
-  w.key("max_request_bytes").value(options_.max_request_bytes);
-  w.key("workers").value(static_cast<std::int64_t>(workers_.size()));
-  w.end_object();
-  send_to_client(connection.fd,
-                 response_line(request, Outcome::success(w.str()), 0.0, 0.0, wanted), binary);
-}
-
-std::string Cluster::route_key(const std::string& line, std::string* model_fingerprint,
-                               std::string* netlist_text, std::string* verb) {
-  const util::JsonParse parsed = util::json_parse(line);
-  if (!parsed || !parsed.value.is_object()) return "";
-  if (const util::Json* v = parsed.value.find("verb"); v != nullptr && v->is_string()) {
-    *verb = v->as_string();
-  }
-  if (const util::Json* m = parsed.value.find("model"); m != nullptr && m->is_string()) {
-    *model_fingerprint = m->as_string();
-    return *model_fingerprint;
-  }
-  if (const util::Json* n = parsed.value.find("netlist"); n != nullptr && n->is_string()) {
-    *netlist_text = n->as_string();
-    return "netlist-" + std::to_string(HashRing::hash(*netlist_text));
-  }
-  return "";
+  listener_.respond(connection, response, message.binary);
 }
 
 bool Cluster::usable(const Worker& worker) const {
@@ -775,45 +478,60 @@ std::vector<Cluster::Worker*> Cluster::candidates(const std::string& key) {
   return usable_first;
 }
 
-bool Cluster::forward_once(Connection& connection, Worker& worker, const std::string& line,
-                           std::string& response_out) {
-  Connection::Backend& backend = connection.backends[static_cast<std::size_t>(worker.index)];
+std::optional<Cluster::Reply> Cluster::forward_once(Backends& backends, Worker& worker,
+                                                    const std::string& line) {
+  Backend& backend = backends[static_cast<std::size_t>(worker.index)];
   const std::int64_t generation = worker.generation.load();
-  if (backend.client == nullptr || backend.generation != generation) {
-    backend.client.reset();
-    SessionOptions session_options;
-    session_options.hello = false;  // v1 upstream: forwarded lines carry everything
-    session_options.connect_timeout_ms = options_.connect_timeout_ms;
-    session_options.timeout_ms = options_.forward_timeout_ms;
-    Result<Client> fresh = Client::connect_unix(worker.spec.unix_socket, session_options);
+  if (!backend.session || backend.generation != generation) {
+    backend.session.reset();
+    Result<Session> fresh = Session::connect_unix(
+        worker.spec.unix_socket,
+        upstream_options(options_.connect_timeout_ms, options_.forward_timeout_ms));
     if (!fresh) {
       note_forward_failure(worker);
-      return false;
+      return std::nullopt;
     }
-    backend.client = std::make_unique<Client>(std::move(fresh).value());
+    backend.session.emplace(std::move(fresh).value());
     backend.generation = generation;
   }
   worker.outstanding.fetch_add(1);
-  const Status sent = backend.client->send_line(line);
-  Result<std::string> response =
-      sent ? backend.client->recv_line(options_.forward_timeout_ms)
-           : Result<std::string>(sent.error());
+  Result<std::string> response = backend.session->call(line);
   worker.outstanding.fetch_sub(1);
-  if (!response || !well_formed_response(*response, nullptr)) {
+  Result<ResponseEnvelope> envelope =
+      response ? decode_response(*response) : Result<ResponseEnvelope>(response.error());
+  if (!envelope) {
     // Torn line, garbage, EOF, timeout: drop the backend (it may be
     // mid-frame) and let the caller fail over.
-    backend.client.reset();
+    backend.session.reset();
     note_forward_failure(worker);
-    return false;
+    return std::nullopt;
   }
   worker.forwarded.fetch_add(1);
   note_forward_success(worker);
-  response_out = std::move(response).value();
+  return Reply{std::move(response).value(), std::move(envelope).value()};
+}
+
+bool Cluster::lock_placement(Worker& worker, std::unique_lock<std::timed_mutex>& placing) const {
+  if (placing.owns_lock()) return true;
+  // The holder may be stuck on a hung worker: wait one forward timeout at
+  // most, and skip a worker that went bad meanwhile, so waiters never queue
+  // behind one another. (A system_clock deadline waits in
+  // pthread_mutex_timedlock, which ThreadSanitizer models; try_lock_for's
+  // pthread_mutex_clocklock it does not, and reports a false unlock error.)
+  const bool was_usable = usable(worker);
+  if (!placing.try_lock_until(
+          std::chrono::system_clock::now() +
+          std::chrono::duration<double, std::milli>(options_.forward_timeout_ms))) {
+    return false;
+  }
+  if (was_usable && !usable(worker)) {
+    placing.unlock();
+    return false;
+  }
   return true;
 }
 
-bool Cluster::ensure_model(Connection& connection, Worker& worker,
-                           const std::string& fingerprint) {
+bool Cluster::ensure_model(Backends& backends, Worker& worker, const std::string& fingerprint) {
   if (worker.knows_model(fingerprint)) return true;
   std::string text;
   {
@@ -823,69 +541,73 @@ bool Cluster::ensure_model(Connection& connection, Worker& worker,
     text = it->second;
   }
   util::JsonWriter w;
-  w.begin_object();
-  w.key("verb").value("register-model");
-  w.key("netlist").value(text);
-  w.end_object();
-  std::string response;
-  if (!forward_once(connection, worker, w.str(), response)) return false;
-  util::Json parsed;
-  if (!well_formed_response(response, &parsed) || !response_error_code(parsed).empty()) {
-    return false;
-  }
+  w.begin_object().key("verb").value("register-model").key("netlist").value(text).end_object();
+  const std::optional<Reply> reply = forward_once(backends, worker, w.str());
+  if (!reply || !reply->envelope.ok) return false;
   reregistrations_.fetch_add(1);
   worker.note_model(fingerprint);
   log_line("reregistered", &worker, fingerprint);
   return true;
 }
 
-std::string Cluster::forward(Connection& connection, const std::string& line) {
+std::string Cluster::forward(Backends& backends, const Message& message, const std::string& verb,
+                             int protocol) {
+  // Route by the model fingerprint, else by the netlist bytes, else round
+  // robin (also for a request that did not parse: any worker phrases its
+  // error the same way).
   std::string fingerprint;
-  std::string netlist;
-  std::string verb;
-  const std::string key = route_key(line, &fingerprint, &netlist, &verb);
-
-  // register-model: canonicalize router-side so the routing key equals the
-  // canonical fingerprint later model-addressed requests will carry, and
-  // remember the text for failover re-registration. A netlist the router
-  // cannot parse routes by raw bytes and lets the worker phrase the error.
+  std::string key;
   std::string canonical_fingerprint;
-  if (verb == "register-model" && !netlist.empty()) {
-    if (const Result<Instance> instance = parse_netlist(netlist)) {
-      if (const Result<std::string> canonical = netlist_text(*instance)) {
-        canonical_fingerprint = Registry::fingerprint(*canonical);
-        const std::lock_guard<std::mutex> lock(models_mutex_);
-        model_texts_[canonical_fingerprint] = *canonical;
+  if (const Request* request = message.request ? &*message.request : nullptr) {
+    const util::Json* model = request->args.find("model");
+    const util::Json* netlist = request->args.find("netlist");
+    if (model != nullptr && model->is_string()) {
+      fingerprint = key = model->as_string();
+    } else if (netlist != nullptr && netlist->is_string()) {
+      key = "netlist-" + std::to_string(HashRing::hash(netlist->as_string()));
+      // register-model: canonicalize router-side so the routing key equals
+      // the canonical fingerprint later model-addressed requests will carry,
+      // and remember the text for re-registration. A netlist the router
+      // cannot parse routes by raw bytes and lets the worker phrase the error.
+      if (verb == "register-model" && !netlist->as_string().empty()) {
+        if (const Result<Instance> instance = parse_netlist(netlist->as_string())) {
+          if (const Result<std::string> canonical = netlist_text(*instance)) {
+            canonical_fingerprint = key = Registry::fingerprint(*canonical);
+            const std::lock_guard<std::mutex> lock(models_mutex_);
+            model_texts_[canonical_fingerprint] = *canonical;
+          }
+        }
       }
     }
   }
-  const std::string effective_key =
-      !canonical_fingerprint.empty() ? canonical_fingerprint : key;
 
-  const std::vector<Worker*> order = candidates(effective_key);
-  std::string response;
   int hops = 0;
-  for (Worker* worker : order) {
-    ++hops;
-    if (hops > 1) failovers_.fetch_add(1);
+  for (Worker* worker : candidates(key)) {
+    if (++hops > 1) failovers_.fetch_add(1);
+    // Any registration on this worker (register-model, or placing the model
+    // for this query) holds its placement lock through the query; a request
+    // that cannot get the lock in time fails over instead of queueing.
+    std::unique_lock<std::timed_mutex> placing(worker->placement_mutex, std::defer_lock);
+    if ((verb == "register-model" || (!fingerprint.empty() && !worker->knows_model(fingerprint))) &&
+        !lock_placement(*worker, placing)) {
+      continue;
+    }
     // Model-addressed request: make sure the target holds the model before
     // asking, so a failover target answers instead of `unknown_model`.
-    if (!fingerprint.empty()) (void)ensure_model(connection, *worker, fingerprint);
-    if (!forward_once(connection, *worker, line, response)) continue;
-    util::Json parsed;
-    if (well_formed_response(response, &parsed)) {
-      const std::string code = response_error_code(parsed);
-      if (code == codes::kUnknownModel && !fingerprint.empty() &&
-          ensure_model(connection, *worker, fingerprint)) {
-        // The worker lost the model (eviction, restart between ensure and
-        // forward): re-register and replay once on the same worker.
-        if (!forward_once(connection, *worker, line, response)) continue;
-        if (!well_formed_response(response, &parsed)) continue;
+    if (!fingerprint.empty()) (void)ensure_model(backends, *worker, fingerprint);
+    std::optional<Reply> reply = forward_once(backends, *worker, message.text);
+    if (reply && reply->envelope.error_code == codes::kUnknownModel && !fingerprint.empty()) {
+      // The router's record was only a hint: the worker evicted the model
+      // (or restarted between ensure and forward). Forget it there,
+      // re-register it and replay once on the same worker.
+      worker->forget_model(fingerprint);
+      if (!lock_placement(*worker, placing)) continue;
+      if (ensure_model(backends, *worker, fingerprint)) {
+        reply = forward_once(backends, *worker, message.text);
       }
-      if (code == codes::kShuttingDown) continue;  // worker draining: fail over
     }
-    if (verb == "register-model" && !canonical_fingerprint.empty() &&
-        response_error_code(parsed).empty()) {
+    if (!reply || reply->envelope.error_code == codes::kShuttingDown) continue;  // fail over
+    if (!canonical_fingerprint.empty() && reply->envelope.ok) {
       worker->note_model(canonical_fingerprint);
     }
     if (verb == "evict-model" && !fingerprint.empty()) {
@@ -894,62 +616,33 @@ std::string Cluster::forward(Connection& connection, const std::string& line) {
       model_texts_.erase(fingerprint);
     }
     completed_.fetch_add(1);
-    return response;
+    return std::move(reply->line);
   }
 
   failed_.fetch_add(1);
-  // Echo the id if the request parses; "null" otherwise.
-  std::string id_json = "null";
-  if (const Result<Request> request = parse_request(line)) {
-    id_json = request_id_json(*request);
-  }
-  return error_line(id_json, verb, codes::kUpstreamUnavailable,
-                    "no worker could serve the request (" + std::to_string(hops) +
-                        " of " + std::to_string(workers_.size()) + " workers tried)",
-                    connection.protocol);
+  return error_line(message.request ? request_id_json(*message.request) : "null", verb,
+                    codes::kUpstreamUnavailable,
+                    "no worker could serve the request (" + std::to_string(hops) + " of " +
+                        std::to_string(workers_.size()) + " workers tried)",
+                    protocol);
 }
 
-void Cluster::handle_admin(Connection& connection, const std::string& verb,
-                           const std::string& text, bool binary) {
-  const Result<Request> parsed = parse_request(text);
-  if (!parsed) {
-    send_to_client(connection.fd,
-                   error_line("null", verb, wire_code(parsed.error().code),
-                              parsed.error().message, connection.protocol),
-                   binary);
-    return;
-  }
-  const Request& request = *parsed;
-
-  if (verb == "cluster-stats") {
-    send_to_client(connection.fd,
-                   response_line(request, Outcome::success(cluster_stats_json()), 0.0, 0.0,
-                                 connection.protocol),
-                   binary);
-    return;
-  }
+std::string Cluster::admin(const Request& request, int protocol) {
+  const auto answer = [&](const Outcome& outcome) {
+    return response_line(request, outcome, 0.0, 0.0, protocol);
+  };
+  const std::string& verb = request.verb;
+  if (verb == "cluster-stats") return answer(Outcome::success(cluster_stats_json()));
 
   const util::Json* index_arg = request.args.find("worker");
   if (index_arg == nullptr || !index_arg->is_number()) {
-    send_to_client(connection.fd,
-                   response_line(request,
-                                 Outcome::failure(codes::kInvalidArgument,
-                                                  "'worker' must be a worker index"),
-                                 0.0, 0.0, connection.protocol),
-                   binary);
-    return;
+    return answer(Outcome::failure(codes::kInvalidArgument, "'worker' must be a worker index"));
   }
   const std::int64_t index = index_arg->as_int();
   if (index < 0 || index >= static_cast<std::int64_t>(workers_.size())) {
-    send_to_client(
-        connection.fd,
-        response_line(request,
-                      Outcome::failure(codes::kInvalidArgument,
-                                       "worker " + std::to_string(index) + " out of range (" +
-                                           std::to_string(workers_.size()) + " workers)"),
-                      0.0, 0.0, connection.protocol),
-        binary);
-    return;
+    return answer(Outcome::failure(codes::kInvalidArgument,
+                                   "worker " + std::to_string(index) + " out of range (" +
+                                       std::to_string(workers_.size()) + " workers)"));
   }
 
   double timeout_ms = 30'000.0;
@@ -965,13 +658,7 @@ void Cluster::handle_admin(Connection& connection, const std::string& verb,
     status = restart_worker(static_cast<std::size_t>(index), timeout_ms);
   }
   if (!status) {
-    send_to_client(connection.fd,
-                   response_line(request,
-                                 Outcome::failure(wire_code(status.error().code),
-                                                  status.error().message),
-                                 0.0, 0.0, connection.protocol),
-                   binary);
-    return;
+    return answer(Outcome::failure(wire_code(status.error().code), status.error().message));
   }
   const Worker& worker = *workers_[static_cast<std::size_t>(index)];
   util::JsonWriter w;
@@ -982,22 +669,10 @@ void Cluster::handle_admin(Connection& connection, const std::string& verb,
   w.key("draining").value(worker.draining.load());
   w.key("generation").value(worker.generation.load());
   w.end_object();
-  send_to_client(connection.fd,
-                 response_line(request, Outcome::success(w.str()), 0.0, 0.0,
-                               connection.protocol),
-                 binary);
+  return answer(Outcome::success(w.str()));
 }
 
-void Cluster::handle_aggregate_stats(Connection& connection, const std::string& text,
-                                     bool binary) {
-  const Result<Request> parsed = parse_request(text);
-  if (!parsed) {
-    send_to_client(connection.fd,
-                   error_line("null", "stats", wire_code(parsed.error().code),
-                              parsed.error().message, connection.protocol),
-                   binary);
-    return;
-  }
+std::string Cluster::aggregate_stats(Backends& backends, const Request& request, int protocol) {
   // Live-sum the workers' own stats: pool counters and the registry block
   // (which loadgen's hit-rate probe reads), in the single-server shape.
   std::int64_t submitted = 0;
@@ -1007,15 +682,11 @@ void Cluster::handle_aggregate_stats(Connection& connection, const std::string& 
   std::map<std::string, std::int64_t> registry_counters;
   int reachable = 0;
   for (const std::unique_ptr<Worker>& worker : workers_) {
-    std::string response;
-    if (!forward_once(connection, *worker, "{\"verb\":\"stats\"}", response)) continue;
-    util::Json envelope;
-    if (!well_formed_response(response, &envelope) ||
-        !response_error_code(envelope).empty()) {
-      continue;
-    }
-    const util::Json* result = envelope.find("result");
-    if (result == nullptr || !result->is_object()) continue;
+    const std::optional<Reply> reply = forward_once(backends, *worker, R"({"verb":"stats"})");
+    if (!reply) continue;
+    const Result<const util::Json*> stats = reply->envelope.result();
+    if (!stats || !(*stats)->is_object()) continue;
+    const util::Json* result = *stats;
     ++reachable;
     if (const util::Json* v = result->find("submitted"); v != nullptr && v->is_number()) {
       submitted += v->as_int();
@@ -1056,10 +727,7 @@ void Cluster::handle_aggregate_stats(Connection& connection, const std::string& 
   for (const auto& [name, value] : registry_counters) w.key(name).value(value);
   w.end_object();
   w.end_object();
-  send_to_client(connection.fd,
-                 response_line(*parsed, Outcome::success(w.str()), 0.0, 0.0,
-                               connection.protocol),
-                 binary);
+  return response_line(request, Outcome::success(w.str()), 0.0, 0.0, protocol);
 }
 
 Status Cluster::drain_worker(std::size_t index, double timeout_ms) {

@@ -5,9 +5,15 @@
 // treated as channels of arbitrary (even infinite) latency, and the router
 // stays correct under any of it via backpressure, failover and replay.
 //
-//   clients ──► Cluster router ──► N lid_serve worker processes
-//                    │                 (one model registry each)
-//                    └── health prober (stats verb, generation tracking)
+//   clients ──► Listener ──► Cluster router ──► N lid_serve worker processes
+//                                 │                 (one model registry each)
+//                                 └── health prober (stats verb, generation tracking)
+//
+// The front door is the Listener (listener.hpp) that Server uses too: the
+// same accept loop, per-connection reader, NDJSON/frame demux, size limits,
+// `hello` and stale-socket rule. Each request is parsed once there; the
+// router reads its route key from that parse and decodes each worker
+// response once (decode_response).
 //
 // Topology and routing:
 //
@@ -35,7 +41,10 @@
 //     through it. On failover (or after a worker restart) a model-addressed
 //     request re-registers the model on the target worker first — the
 //     cluster-level `session_warmup` — so clients never see `unknown_model`
-//     for a model they registered.
+//     for a model they registered. Its record of which worker holds which
+//     model is only a hint: a worker's registry may evict a model, so an
+//     `unknown_model` answer makes the router forget the model for that
+//     worker, re-register it and replay the request once.
 //
 // Admin verbs (handled by the router itself, see docs/cluster.md):
 //
@@ -63,6 +72,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -70,7 +80,8 @@
 #include <vector>
 
 #include "lid_api.hpp"
-#include "serve/client.hpp"
+#include "serve/listener.hpp"
+#include "serve/session.hpp"
 #include "util/timer.hpp"
 
 namespace lid::serve {
@@ -177,7 +188,8 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   /// Spawns/adopts the workers, waits for each to answer a probe, binds the
-  /// front door and starts the accept + prober threads.
+  /// front door and starts the accept + prober threads. A Unix front-door
+  /// path with a live daemon behind it fails (listener.hpp).
   Status start();
 
   /// Requests a graceful stop. Async-signal-safe (one write()).
@@ -190,8 +202,8 @@ class Cluster {
   /// request_stop() + wait().
   void stop();
 
-  [[nodiscard]] const std::string& endpoint() const { return endpoint_; }
-  [[nodiscard]] int port() const { return resolved_port_; }
+  [[nodiscard]] const std::string& endpoint() const { return listener_.endpoint(); }
+  [[nodiscard]] int port() const { return listener_.port(); }
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
 
   /// The `cluster-stats` payload: per-worker health/routing state plus
@@ -215,36 +227,48 @@ class Cluster {
 
  private:
   struct Worker;
-  struct Connection;
+  /// A connection's upstream session to one worker, opened lazily and tagged
+  /// with the worker generation it was opened against (a restart
+  /// invalidates it). Confined to the connection's reader thread:
+  /// forwarding is synchronous.
+  struct Backend {
+    std::optional<Session> session;
+    std::int64_t generation = 0;
+  };
+  using Backends = std::vector<Backend>;
+  /// One worker response: the line as sent and its decoded envelope.
+  struct Reply {
+    std::string line;
+    ResponseEnvelope envelope;
+  };
 
-  void accept_loop();
-  void connection_loop(std::shared_ptr<Connection> connection);
-  void handle_message(Connection& connection, std::string text, bool binary);
-  void handle_hello(Connection& connection, const std::string& text, bool binary);
-  void handle_admin(Connection& connection, const std::string& verb, const std::string& text,
-                    bool binary);
-  void handle_aggregate_stats(Connection& connection, const std::string& text, bool binary);
+  void handle_message(Connection& connection, Backends& backends, Message& message);
+  /// The admin verbs (cluster-stats, drain/rejoin/restart-worker).
+  std::string admin(const Request& request, int protocol);
+  /// The `stats` verb: the workers' own stats, summed.
+  std::string aggregate_stats(Backends& backends, const Request& request, int protocol);
 
-  /// Forwards one request line, with affinity routing, failover and
-  /// on-demand model re-registration. Returns the response line to send to
-  /// the client (always well-formed: a worker response or a structured
-  /// router error).
-  std::string forward(Connection& connection, const std::string& line);
+  /// Forwards one request, with affinity routing, failover and on-demand
+  /// model re-registration. Returns the response line to send to the client
+  /// (always well-formed: a worker response or a structured router error).
+  std::string forward(Backends& backends, const Message& message, const std::string& verb,
+                      int protocol);
 
-  /// One attempt on one worker over the connection's cached backend.
-  /// A failure drops the backend and reports false (the caller fails over).
-  bool forward_once(Connection& connection, Worker& worker, const std::string& line,
-                    std::string& response_out);
+  /// One attempt on one worker over the connection's backend. A failure
+  /// (no connection, or a response decode_response rejects) drops the
+  /// backend and yields nothing; the caller fails over.
+  std::optional<Reply> forward_once(Backends& backends, Worker& worker, const std::string& line);
+
+  /// Takes `worker`'s placement lock (a no-op when `placing` holds it),
+  /// waiting at most one forward timeout. False, with the lock not held,
+  /// when the wait timed out or the worker stopped being usable meanwhile:
+  /// the caller fails over.
+  bool lock_placement(Worker& worker, std::unique_lock<std::timed_mutex>& placing) const;
 
   /// Ensures `fingerprint` is registered on `worker` (current generation),
   /// using the router's remembered canonical text. True when the worker is
   /// believed to hold the model afterwards.
-  bool ensure_model(Connection& connection, Worker& worker, const std::string& fingerprint);
-
-  /// The routing key of a parsed-enough request: model fingerprint, netlist
-  /// hash, or "" (no affinity -> round robin).
-  static std::string route_key(const std::string& line, std::string* model_fingerprint,
-                               std::string* netlist_text, std::string* verb);
+  bool ensure_model(Backends& backends, Worker& worker, const std::string& fingerprint);
 
   /// Candidate workers for a key: ring failover order, usable (healthy, not
   /// draining, breaker closed/half-open) first, then still-standing
@@ -275,18 +299,6 @@ class Cluster {
   mutable std::mutex models_mutex_;
   std::unordered_map<std::string, std::string> model_texts_;
 
-  int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};
-  std::string endpoint_;
-  int resolved_port_ = -1;
-  bool unlink_on_close_ = false;
-
-  std::thread accept_thread_;
-  std::thread prober_thread_;
-  std::mutex connections_mutex_;
-  std::vector<std::thread> connection_threads_;
-  std::atomic<bool> stop_requested_{false};
-  std::atomic<std::uint64_t> next_connection_id_{0};
   std::atomic<std::uint64_t> round_robin_{0};
 
   // Router totals (cluster-stats; the zero-loss ledger).
@@ -301,6 +313,10 @@ class Cluster {
   std::mutex lifecycle_mutex_;
   bool started_ = false;
   bool finished_ = false;
+
+  /// Last: their threads use everything above.
+  Listener listener_;
+  std::thread prober_thread_;
 };
 
 }  // namespace lid::serve

@@ -916,8 +916,18 @@ std::string error_line(const std::string& id_json, const std::string& verb,
   return w.str();
 }
 
-Result<std::string> extract_result(const std::string& response) {
-  const util::JsonParse parsed = util::json_parse(response);
+Result<const util::Json*> ResponseEnvelope::result() const {
+  if (!ok) {
+    return Error{ErrorCode::kInvalidArgument,
+                 "server error [" + error_code + "] " + error_message};
+  }
+  const util::Json* result = json.find("result");
+  if (result == nullptr) return Error{ErrorCode::kParse, "ok response has no 'result'"};
+  return result;
+}
+
+Result<ResponseEnvelope> decode_response(const std::string& response) {
+  util::JsonParse parsed = util::json_parse(response);
   if (!parsed) {
     return Error{ErrorCode::kParse, "response is not valid JSON: " + parsed.error};
   }
@@ -928,21 +938,28 @@ Result<std::string> extract_result(const std::string& response) {
   if (ok == nullptr || !ok->is_bool()) {
     return Error{ErrorCode::kParse, "response has no boolean 'ok'"};
   }
-  if (!ok->as_bool()) {
-    const util::Json* error = parsed.value.find("error");
-    std::string code = "unknown";
-    std::string message;
-    if (error != nullptr && error->is_object()) {
-      if (const util::Json* c = error->find("code")) code = c->as_string();
-      if (const util::Json* m = error->find("message")) message = m->as_string();
+  ResponseEnvelope envelope;
+  envelope.ok = ok->as_bool();
+  if (!envelope.ok) {
+    envelope.error_code = "unknown";
+    if (const util::Json* error = parsed.value.find("error");
+        error != nullptr && error->is_object()) {
+      if (const util::Json* c = error->find("code"); c != nullptr && c->is_string()) {
+        envelope.error_code = c->as_string();
+      }
+      if (const util::Json* m = error->find("message")) envelope.error_message = m->as_string();
     }
-    return Error{ErrorCode::kInvalidArgument, "server error [" + code + "] " + message};
   }
-  const util::Json* result = parsed.value.find("result");
-  if (result == nullptr) {
-    return Error{ErrorCode::kParse, "ok response has no 'result'"};
-  }
-  return result->dump();
+  envelope.json = std::move(parsed.value);
+  return envelope;
+}
+
+Result<std::string> extract_result(const std::string& response) {
+  const Result<ResponseEnvelope> envelope = decode_response(response);
+  if (!envelope) return envelope.error();
+  const Result<const util::Json*> result = envelope->result();
+  if (!result) return result.error();
+  return (*result)->dump();
 }
 
 }  // namespace lid::serve

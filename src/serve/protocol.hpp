@@ -205,11 +205,31 @@ std::string error_line(const std::string& id_json, const std::string& verb,
 /// The id of `request` as a JSON fragment ("null" when absent).
 std::string request_id_json(const Request& request);
 
-/// Client-side helper: parses a response line and returns the canonical
-/// compact re-serialization of its `result` member. Errors when the line is
-/// not a response object, `ok` is false, or `result` is missing. Because
-/// payloads avoid floating point, the returned bytes equal the producing
-/// Outcome::payload exactly.
+/// One decoded response envelope: the parsed response object, its boolean
+/// `ok`, and for a failure its `error.code` ("unknown" when it names none)
+/// and `error.message`.
+struct ResponseEnvelope {
+  util::Json json;
+  bool ok = false;
+  std::string error_code;
+  std::string error_message;
+
+  /// The `result` member of an ok response. Otherwise the server's error
+  /// (kInvalidArgument, "server error [code] message"), or kParse when an
+  /// ok response carries no `result`.
+  [[nodiscard]] Result<const util::Json*> result() const;
+};
+
+/// Decodes one response line. kParse unless it is a JSON object with a
+/// boolean `ok`: anything else (a torn line, injected garbage) is a
+/// transport failure to whoever reads it. The one response decoder of the
+/// serving layer: sessions, the retry layer and the cluster router all read
+/// responses through it, once per response.
+Result<ResponseEnvelope> decode_response(const std::string& response);
+
+/// decode_response, then the canonical compact re-serialization of the
+/// `result` member. Because payloads avoid floating point, the returned
+/// bytes equal the producing Outcome::payload exactly.
 Result<std::string> extract_result(const std::string& response);
 
 }  // namespace lid::serve

@@ -57,9 +57,10 @@ Result<ModelInfo> Registry::register_model(const std::string& text) {
   const std::lock_guard<std::mutex> lock(mutex_);
   registered_ += 1;
   if (const auto it = models_.find(fp); it != models_.end()) {
-    // Content-addressed: same canonical text, same model. Refresh LRU.
-    last_used_[fp] = ++tick_;
+    // Content-addressed: same canonical text, same model. Only a queried
+    // model moves up; a registered-only one keeps its first-in place.
     const Entry& entry = *it->second;
+    if (entry.hits.load() > 0) last_used_[fp] = ++tick_;
     return ModelInfo{fp, entry.base_bytes, entry.instance.num_cores(),
                      entry.instance.num_channels(), entry.instance.total_relay_stations()};
   }
@@ -143,14 +144,17 @@ void Registry::note_memo(bool hit) {
 
 void Registry::evict_to_fit_locked(const Entry* keep) {
   while (bytes_ > options_.max_bytes || models_.size() > options_.max_models) {
+    // Rank (served a query, last use): registered-only models leave first,
+    // oldest first, then queried ones in LRU order. Every register and
+    // acquire takes a fresh tick, so no two models tie.
     const Entry* victim = nullptr;
-    std::uint64_t oldest = 0;
+    std::pair<bool, std::uint64_t> victim_rank;
     for (const auto& [fp, entry] : models_) {
       if (entry.get() == keep) continue;
-      const std::uint64_t used = last_used_[fp];
-      if (victim == nullptr || used < oldest) {
+      const std::pair<bool, std::uint64_t> rank{entry->hits.load() > 0, last_used_[fp]};
+      if (victim == nullptr || rank < victim_rank) {
         victim = entry.get();
-        oldest = used;
+        victim_rank = rank;
       }
     }
     if (victim == nullptr) return;  // only `keep` is left; nothing to trim

@@ -1,5 +1,5 @@
-// The server-side model registry: content-addressed, LRU-evicted storage of
-// parsed netlists plus their pooled analysis state.
+// The server-side model registry: content-addressed, budget-evicted storage
+// of parsed netlists plus their pooled analysis state.
 //
 // A model is identified by a fingerprint of its *canonicalized* `.lis` text
 // (parse, then re-serialize), so whitespace- and comment-only edits map to
@@ -23,12 +23,16 @@
 //         + a fixed 256-byte handle overhead
 //         + 64 bytes per core + 96 bytes per channel (Instance model)
 //         + the payload memo (exact key + payload bytes, +32/entry).
-// The registry evicts least-recently-used models whenever the accounted
-// total exceeds `max_bytes` or residency exceeds `max_models`. Eviction is
-// safe while a request is in flight on the evicted model: entries are
-// shared_ptr-owned, so the in-flight worker keeps its entry alive and the
-// registry merely forgets it (the same ownership idiom as Server's
-// per-connection drain).
+// The registry evicts whenever the accounted total exceeds `max_bytes` or
+// residency exceeds `max_models`, in this order: models that were only
+// registered (never queried) first, first in first out (registering one
+// again does not move it); then models that have served a query, least
+// recently used first. A stream of fresh registrations therefore cannot
+// push out the models clients actually query. Eviction is safe while a
+// request is in flight on the evicted model: entries are shared_ptr-owned,
+// so the in-flight worker keeps its entry alive and the registry merely
+// forgets it (the same ownership idiom as the front door's per-connection
+// drain).
 //
 // The registry is thread-safe. Per-entry analysis state is NOT (AnalysisCache
 // is single-threaded by design): workers lock Entry::mutex around cached
@@ -94,7 +98,8 @@ class Registry {
     /// Accounted memo bytes (atomic so list/stats read without the entry
     /// mutex). Updated by Registry::memoize under `mutex`.
     std::atomic<std::int64_t> memo_bytes{0};
-    /// Lookup traffic on this model (for list-models).
+    /// Lookup traffic on this model; a model with none is evicted before
+    /// every model that has served a query.
     std::atomic<std::int64_t> hits{0};
   };
 
@@ -103,9 +108,10 @@ class Registry {
   static std::string fingerprint(const std::string& canonical_text);
 
   /// Parses and canonicalizes `text`, then registers (or re-finds) the
-  /// model, evicting LRU entries to fit. Errors: kParse for a bad netlist,
-  /// kInvalidArgument when the model alone exceeds the budget or the
-  /// registry is disabled (callers map this to `registry_full`).
+  /// model, evicting other models to fit (never-queried first, then LRU).
+  /// Errors: kParse for a bad netlist, kInvalidArgument when the model alone
+  /// exceeds the budget or the registry is disabled (callers map this to
+  /// `registry_full`).
   Result<ModelInfo> register_model(const std::string& text);
 
   /// The entry for `fingerprint`, bumping its LRU position, or nullptr when
@@ -119,8 +125,8 @@ class Registry {
   [[nodiscard]] std::vector<ModelInfo> list() const;
 
   /// Records a computed payload in `entry`'s memo with byte accounting,
-  /// evicting *other* LRU models if the total overflows. Caller holds
-  /// entry->mutex. No-op when the memo entry already exists.
+  /// evicting *other* models (in eviction order) if the total overflows.
+  /// Caller holds entry->mutex. No-op when the memo entry already exists.
   void memoize(Entry& entry, const std::string& key, const std::string& payload);
 
   /// Notes memo traffic (`stats` reporting; loadgen derives its hit rate
@@ -133,7 +139,7 @@ class Registry {
     std::size_t max_bytes = 0;
     std::size_t max_models = 0;
     std::int64_t registered = 0;  ///< register-model calls that parsed
-    std::int64_t evictions = 0;   ///< LRU + explicit evictions
+    std::int64_t evictions = 0;   ///< budget + explicit evictions
     std::int64_t hits = 0;        ///< acquire() found the model
     std::int64_t misses = 0;      ///< acquire() missed (unknown_model)
     std::int64_t memo_hits = 0;   ///< payload served from the memo
@@ -145,8 +151,8 @@ class Registry {
   [[nodiscard]] std::string stats_json() const;
 
  private:
-  /// Drops LRU entries until the accounted total fits. `keep` is never
-  /// evicted. Caller holds mutex_.
+  /// Drops entries in eviction order until the accounted total fits.
+  /// `keep` is never evicted. Caller holds mutex_.
   void evict_to_fit_locked(const Entry* keep);
 
   RegistryOptions options_;

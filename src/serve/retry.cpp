@@ -5,7 +5,7 @@
 #include <thread>
 #include <utility>
 
-#include "util/json.hpp"
+#include "serve/protocol.hpp"
 
 namespace lid::serve {
 namespace {
@@ -45,7 +45,7 @@ Result<std::string> RetryingClient::attempt(const std::string& line, bool& sent_
   sent_request = false;
   overloaded = false;
   if (!connection_) {
-    Result<Client> fresh = connect_();
+    Result<Session> fresh = connect_();
     if (!fresh) {
       ++stats_.connect_failures;
       // ECONNREFUSED surfaces as strerror text; "refused" is stable in the C
@@ -67,37 +67,29 @@ Result<std::string> RetryingClient::attempt(const std::string& line, bool& sent_
       }
     }
   }
-  const Status sent = connection_->send_line(line);
+  const Status sent = connection_->send_message(line);
   if (!sent) {
     disconnect();
     ++stats_.mid_request_failures;
     return sent.error();
   }
   sent_request = true;
-  Result<std::string> response = connection_->recv_line(policy_.attempt_timeout_ms);
+  Result<std::string> response = connection_->recv_message(policy_.attempt_timeout_ms);
   if (!response) {
     // EOF, recv error or timeout: the connection may be mid-frame; drop it.
     disconnect();
     ++stats_.mid_request_failures;
     return response.error();
   }
-  // Validate framing: a response must be a JSON object with a boolean `ok`.
-  // Anything else (a torn line, injected garbage) is a transport failure.
-  const util::JsonParse parsed = util::json_parse(*response);
-  const util::Json* ok =
-      parsed && parsed.value.is_object() ? parsed.value.find("ok") : nullptr;
-  if (ok == nullptr || !ok->is_bool()) {
+  // Anything decode_response rejects (a torn line, injected garbage) is a
+  // transport failure.
+  const Result<ResponseEnvelope> envelope = decode_response(*response);
+  if (!envelope) {
     disconnect();
     ++stats_.mid_request_failures;
     return Error{ErrorCode::kParse, "malformed response line: '" + preview(*response) + "'"};
   }
-  if (!ok->as_bool()) {
-    const util::Json* error = parsed.value.find("error");
-    if (error != nullptr && error->is_object()) {
-      const util::Json* code = error->find("code");
-      overloaded = code != nullptr && code->is_string() && code->as_string() == "overloaded";
-    }
-  }
+  overloaded = envelope->error_code == codes::kOverloaded;
   return response;
 }
 

@@ -1,7 +1,7 @@
-// A resilient wrapper over serve::Client: retries, backoff, circuit breaker.
+// A resilient wrapper over serve::Session: retries, backoff, circuit breaker.
 //
 // Transport failures (connect refused, send/recv errors, EOF mid-response,
-// per-attempt timeout, an unparseable response line) are retried on a fresh
+// per-attempt timeout, a line decode_response rejects) are retried on a fresh
 // connection with exponential backoff and decorrelated jitter. Valid
 // application error responses (`ok:false` with a code) are definitive and
 // returned as-is — except `overloaded`, which by default is treated as
@@ -28,7 +28,7 @@
 #include <optional>
 #include <string>
 
-#include "serve/client.hpp"
+#include "serve/session.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -60,11 +60,11 @@ struct RetryPolicy {
   /// registered-model requests never see `unknown_model` on a replacement
   /// server. A failing warmup counts as a transport failure of that attempt
   /// (the connection is dropped and retried).
-  std::function<Status(Client&)> session_warmup;
+  std::function<Status(Session&)> session_warmup;
 };
 
 /// Counters accumulated across calls (not thread-safe; one RetryingClient
-/// per thread, like Client itself).
+/// per thread, like Session itself).
 struct RetryStats {
   std::int64_t calls = 0;        ///< call() invocations
   std::int64_t attempts = 0;     ///< network attempts actually made
@@ -84,9 +84,10 @@ struct RetryStats {
 
 class RetryingClient {
  public:
-  /// `connect` mints a fresh connection (e.g. a lambda over connect_unix);
-  /// it is invoked lazily on the first call and after any transport failure.
-  using Connector = std::function<Result<Client>()>;
+  /// `connect` mints a fresh session (e.g. a lambda over
+  /// Session::connect_unix); it is invoked lazily on the first call and after
+  /// any transport failure.
+  using Connector = std::function<Result<Session>()>;
 
   RetryingClient(Connector connect, RetryPolicy policy);
 
@@ -111,7 +112,7 @@ class RetryingClient {
 
   Connector connect_;
   RetryPolicy policy_;
-  std::optional<Client> connection_;
+  std::optional<Session> connection_;
   util::Rng rng_;
   RetryStats stats_;
 

@@ -1,73 +1,50 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
+#include <atomic>
 #include <chrono>
-#include <cstring>
 #include <ostream>
-#include <thread>
 
-#include "serve/frame.hpp"
 #include "serve/registry.hpp"
 #include "util/timer.hpp"
 
 namespace lid::serve {
 namespace {
 
-Error errno_error(const std::string& what) {
-  return Error{ErrorCode::kIo, what + ": " + std::strerror(errno)};
-}
-
-/// True when `path` holds a Unix socket nobody is listening on anymore
-/// (e.g. left behind by a killed daemon): connecting to it fails with
-/// ECONNREFUSED.
-bool is_stale_unix_socket(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return false;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  const int saved_errno = errno;
-  ::close(fd);
-  return rc != 0 && saved_errno == ECONNREFUSED;
+/// Wall-clock milliseconds, made strictly increasing across the Servers of
+/// this process: two started within one millisecond would otherwise report
+/// the same identity (pid + start_unix_ms), and a supervisor probing the
+/// endpoint could not tell the second from the first.
+std::int64_t unique_start_unix_ms() {
+  static std::atomic<std::int64_t> last{0};
+  const std::int64_t now = std::chrono::duration_cast<std::chrono::milliseconds>(
+                               std::chrono::system_clock::now().time_since_epoch())
+                               .count();
+  std::int64_t previous = last.load();
+  std::int64_t next = 0;
+  do {
+    next = std::max(now, previous + 1);
+  } while (!last.compare_exchange_weak(previous, next));
+  return next;
 }
 
 }  // namespace
 
-/// One accepted client. The reader thread and any queued worker tasks share
-/// ownership; the fd closes when the last reference drops, which is how a
-/// drain naturally hangs up on clients once their responses are flushed.
-struct Server::Connection {
-  int fd = -1;
-  std::uint64_t id = 0;
-  std::mutex write_mutex;
-  /// Negotiated protocol version (1 until a successful `hello`). Atomic:
-  /// the reader writes it, workers read it when formatting envelopes.
-  std::atomic<int> protocol{1};
-
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), faults_(options_.fault_plan) {
+    : options_(std::move(options)),
+      start_unix_ms_(unique_start_unix_ms()),
+      listener_("lid_serve", options_.max_request_bytes, options_.fault_plan, &metrics_,
+                [this](const std::shared_ptr<Connection>& connection) -> Listener::Handler {
+                  return [this, connection](Message& message) {
+                    handle_message(connection, message);
+                  };
+                }) {
   if (options_.workers < 1) options_.workers = 1;
   if (options_.queue_capacity < 1) options_.queue_capacity = 1;
   registry_ = std::make_unique<Registry>(
       RegistryOptions{options_.registry_max_bytes, options_.registry_max_models});
-  start_unix_ms_ = std::chrono::duration_cast<std::chrono::milliseconds>(
-                       std::chrono::system_clock::now().time_since_epoch())
-                       .count();
 }
 
 Server::~Server() {
@@ -81,84 +58,12 @@ Status Server::start() {
     if (started_) return Error{ErrorCode::kInvalidArgument, "Server::start called twice"};
     started_ = true;
   }
-
-  if (!options_.unix_socket.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.unix_socket.size() >= sizeof(addr.sun_path)) {
-      return Error{ErrorCode::kInvalidArgument,
-                   "unix socket path longer than " + std::to_string(sizeof(addr.sun_path) - 1) +
-                       " bytes: " + options_.unix_socket};
-    }
-    std::strncpy(addr.sun_path, options_.unix_socket.c_str(), sizeof(addr.sun_path) - 1);
-    if (is_stale_unix_socket(options_.unix_socket)) ::unlink(options_.unix_socket.c_str());
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return errno_error("socket(AF_UNIX)");
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const Error error = errno_error("bind('" + options_.unix_socket + "')");
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return error;
-    }
-    unlink_on_close_ = true;
-    endpoint_ = "unix:" + options_.unix_socket;
-  } else if (options_.tcp_port >= 0) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return errno_error("socket(AF_INET)");
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(options_.tcp_port));
-    if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return Error{ErrorCode::kInvalidArgument, "bad host address '" + options_.host + "'"};
-    }
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const Error error = errno_error("bind(" + options_.host + ":" +
-                                      std::to_string(options_.tcp_port) + ")");
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return error;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-      resolved_port_ = ntohs(bound.sin_port);
-    }
-    endpoint_ = "tcp:" + options_.host + ":" + std::to_string(resolved_port_);
-  } else {
-    return Error{ErrorCode::kInvalidArgument, "no endpoint: set unix_socket or tcp_port"};
-  }
-
-  if (::listen(listen_fd_, 64) != 0) {
-    const Error error = errno_error("listen");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return error;
-  }
-  if (::pipe(stop_pipe_) != 0) {
-    const Error error = errno_error("pipe");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return error;
-  }
-  for (const int fd : stop_pipe_) ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-
   pool_ = std::make_unique<engine::TaskPool>(
       engine::TaskPool::Options{options_.workers, options_.queue_capacity});
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  return Unit{};
+  return listener_.start(options_.unix_socket, options_.tcp_port, options_.host);
 }
 
-void Server::request_stop() {
-  // Async-signal-safe: one write(), no locks, no allocation.
-  if (stop_pipe_[1] >= 0) {
-    const char byte = 's';
-    [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
-  }
-}
+void Server::request_stop() { listener_.request_stop(); }
 
 void Server::stop() {
   request_stop();
@@ -168,174 +73,37 @@ void Server::stop() {
 void Server::wait() {
   const std::lock_guard<std::mutex> lock(lifecycle_mutex_);
   if (finished_ || !started_) return;
-
-  // The accept thread exits only when the stop pipe fires; joining it is
-  // the "wait until a stop was requested" step.
-  if (accept_thread_.joinable()) accept_thread_.join();
-  stop_requested_.store(true);
-
-  // No new connections. Readers notice stop_requested_ and stop admitting
-  // new requests; everything already admitted drains through the pool, and
-  // the workers flush their responses before drain() returns.
-  {
-    const std::lock_guard<std::mutex> connections_lock(connections_mutex_);
-    for (std::thread& t : connection_threads_) {
-      if (t.joinable()) t.join();
-    }
-    connection_threads_.clear();
-  }
-  if (pool_) pool_->drain();
-
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (unlink_on_close_) ::unlink(options_.unix_socket.c_str());
-  for (int& fd : stop_pipe_) {
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
+  // No new connections or requests once the listener returns; everything
+  // already admitted drains through the pool, and the workers flush their
+  // responses before drain() returns.
+  listener_.wait();
+  pool_->drain();
   finished_ = true;
 }
 
-void Server::accept_loop() {
-  while (true) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if ((fds[1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) break;  // stop requested
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    ::fcntl(client, F_SETFD, FD_CLOEXEC);
-    auto connection = std::make_shared<Connection>();
-    connection->fd = client;
-    connection->id = next_connection_id_.fetch_add(1) + 1;
-    connections_total_.fetch_add(1);
-    active_connections_.fetch_add(1);
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connection_threads_.emplace_back(
-        [this, connection = std::move(connection)]() mutable {
-          connection_loop(std::move(connection));
-        });
-  }
-  stop_requested_.store(true);
-}
-
-void Server::connection_loop(std::shared_ptr<Connection> connection) {
-  std::string buffer;
-  char chunk[65536];
-  while (!stop_requested_.load()) {
-    pollfd pfd{connection->fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);  // finite timeout: re-check stop flag
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (rc == 0) continue;
-    if ((pfd.revents & (POLLIN | POLLHUP)) == 0) break;
-    const ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
-    if (n == 0) break;  // client hung up
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      break;
-    }
-    metrics_.count("bytes_in", n);
-    buffer.append(chunk, static_cast<std::size_t>(n));
-
-    // Mixed-transport demultiplexing: a message starting with the frame
-    // magic is a binary frame, anything else is an NDJSON line. The magic
-    // byte can never begin JSON, so the two interleave without ambiguity.
-    bool hangup = false;
-    while (!hangup && !buffer.empty()) {
-      if (starts_frame(buffer)) {
-        const FrameDecode frame = decode_frame(buffer, options_.max_request_bytes);
-        if (frame.status == FrameStatus::kNeedMore) break;
-        if (frame.status == FrameStatus::kBad) {
-          // Framing is lost (bad header or oversized length): answer once,
-          // in kind, and hang up rather than resynchronize heuristically.
-          respond(connection, error_line("null", "", frame.error_code, frame.error,
-                                         connection->protocol.load()),
-                  /*binary=*/true);
-          metrics_.count("requests_rejected");
-          hangup = true;
-          break;
-        }
-        std::string payload = frame.payload;
-        buffer.erase(0, frame.consumed);
-        handle_message(connection, std::move(payload), /*binary=*/true);
-        continue;
-      }
-      const std::size_t newline = buffer.find('\n');
-      if (newline == std::string::npos) break;
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      handle_message(connection, std::move(line), /*binary=*/false);
-    }
-    if (hangup) break;
-
-    if (!starts_frame(buffer) && buffer.size() > options_.max_request_bytes) {
-      // A line that exceeds the limit before its newline arrives would
-      // otherwise grow the buffer without bound. (Oversized frames are
-      // rejected from their declared length by decode_frame above.)
-      respond(connection,
-              error_line("null", "", codes::kTooLarge,
-                         "request line exceeds " + std::to_string(options_.max_request_bytes) +
-                             " bytes",
-                         connection->protocol.load()),
-              /*binary=*/false);
-      break;
-    }
-  }
-  active_connections_.fetch_sub(1);
-}
-
-void Server::handle_message(const std::shared_ptr<Connection>& connection, std::string text,
-                            bool binary) {
-  if (!binary && !text.empty() && text.back() == '\r') text.pop_back();
-  if (text.empty()) return;
-  metrics_.count("requests_total");
-  if (binary) metrics_.count("requests_binary");
-
-  if (text.size() > options_.max_request_bytes) {
+void Server::handle_message(const std::shared_ptr<Connection>& connection, Message& message) {
+  const bool binary = message.binary;
+  if (!message.request) {
+    const Error& error = message.request.error();
     metrics_.count("requests_rejected");
-    respond(connection,
-            error_line("null", "", codes::kTooLarge,
-                       "request of " + std::to_string(text.size()) + " bytes exceeds the limit of " +
-                           std::to_string(options_.max_request_bytes),
-                       connection->protocol.load()),
-            binary);
+    listener_.respond(*connection,
+                      error_line("null", "", wire_code(error.code), error.message,
+                                 connection->protocol.load()),
+                      binary);
+    log_request(*connection, Request{}, wire_code(error.code), 0.0, 0.0);
     return;
   }
-
-  Result<Request> parsed = parse_request(text);
-  if (!parsed) {
-    metrics_.count("requests_rejected");
-    respond(connection,
-            error_line("null", "", wire_code(parsed.error().code), parsed.error().message,
-                       connection->protocol.load()),
-            binary);
-    if (options_.log != nullptr) {
-      Request unparsed;
-      log_request(*connection, unparsed, wire_code(parsed.error().code), 0.0, 0.0);
-    }
-    return;
-  }
-  Request request = std::move(parsed).value();
+  Request request = std::move(message.request).value();
 
   // `hello` negotiates the connection's protocol; it is answered by the
   // reader because it must take effect before any later request on this
   // connection is formatted.
   if (request.verb == "hello") {
-    handle_hello(connection, request, binary);
+    const util::Timer timer;
+    metrics_.count("verb_hello");
+    const Outcome outcome = listener_.hello(*connection, request, binary);
+    metrics_.count(outcome.ok ? "requests_ok" : "requests_error");
+    if (outcome.ok) log_request(*connection, request, "ok", 0.0, timer.elapsed_ms());
     return;
   }
 
@@ -346,9 +114,10 @@ void Server::handle_message(const std::shared_ptr<Connection>& connection, std::
     const Outcome outcome = Outcome::success(stats_json());
     metrics_.count("requests_ok");
     metrics_.count("verb_stats");
-    respond(connection,
-            response_line(request, outcome, timer.elapsed_ms(), 0.0, connection->protocol.load()),
-            binary);
+    listener_.respond(
+        *connection,
+        response_line(request, outcome, timer.elapsed_ms(), 0.0, connection->protocol.load()),
+        binary);
     log_request(*connection, request, "ok", 0.0, timer.elapsed_ms());
     return;
   }
@@ -396,10 +165,10 @@ void Server::handle_message(const std::shared_ptr<Connection>& connection, std::
         }
         const double exec_ms = exec_timer.elapsed_ms();
         latency_.record(context.queue_wait_ms + exec_ms);
-        respond(connection,
-                response_line(request, outcome, exec_ms, context.queue_wait_ms,
-                              connection->protocol.load()),
-                binary);
+        listener_.respond(*connection,
+                          response_line(request, outcome, exec_ms, context.queue_wait_ms,
+                                        connection->protocol.load()),
+                          binary);
         log_request(*connection, request,
                     outcome.ok ? "ok" : outcome.error_code, context.queue_wait_ms, exec_ms);
       },
@@ -409,12 +178,13 @@ void Server::handle_message(const std::shared_ptr<Connection>& connection, std::
     case engine::TaskPool::Submit::kAccepted: break;
     case engine::TaskPool::Submit::kShed: {
       metrics_.count("requests_shed");
-      respond(connection,
-              error_line(id_json, verb, codes::kOverloaded,
-                         "admission queue full (" + std::to_string(pool_->queue_capacity()) +
-                             " requests); retry later",
-                         connection->protocol.load()),
-              binary);
+      listener_.respond(
+          *connection,
+          error_line(id_json, verb, codes::kOverloaded,
+                     "admission queue full (" + std::to_string(pool_->queue_capacity()) +
+                         " requests); retry later",
+                     connection->protocol.load()),
+          binary);
       Request shed_request;
       shed_request.verb = verb;
       shed_request.has_id = has_id;
@@ -424,153 +194,12 @@ void Server::handle_message(const std::shared_ptr<Connection>& connection, std::
     }
     case engine::TaskPool::Submit::kClosed:
       metrics_.count("requests_rejected");
-      respond(connection,
-              error_line(id_json, verb, codes::kShuttingDown, "server is draining",
-                         connection->protocol.load()),
-              binary);
+      listener_.respond(*connection,
+                        error_line(id_json, verb, codes::kShuttingDown, "server is draining",
+                                   connection->protocol.load()),
+                        binary);
       break;
   }
-}
-
-void Server::handle_hello(const std::shared_ptr<Connection>& connection, const Request& request,
-                          bool binary) {
-  const util::Timer timer;
-  metrics_.count("verb_hello");
-
-  int wanted = kProtocolVersion;
-  if (const util::Json* v = request.args.find("protocol"); v != nullptr && !v->is_null()) {
-    if (!v->is_number()) {
-      respond(connection,
-              response_line(request,
-                            Outcome::failure(codes::kInvalidArgument,
-                                             "'protocol' must be a number"),
-                            timer.elapsed_ms(), 0.0, connection->protocol.load()),
-              binary);
-      metrics_.count("requests_error");
-      return;
-    }
-    wanted = static_cast<int>(v->as_int());
-  }
-  if (wanted < kProtocolVersionMin || wanted > kProtocolVersion) {
-    respond(connection,
-            response_line(request,
-                          Outcome::failure(codes::kUnsupportedVersion,
-                                           "protocol " + std::to_string(wanted) +
-                                               " is not supported (this server speaks " +
-                                               std::to_string(kProtocolVersionMin) + ".." +
-                                               std::to_string(kProtocolVersion) + ")"),
-                          timer.elapsed_ms(), 0.0, connection->protocol.load()),
-            binary);
-    metrics_.count("requests_error");
-    return;
-  }
-
-  std::string transport = binary ? "binary" : "ndjson";
-  if (const util::Json* t = request.args.find("transport"); t != nullptr && !t->is_null()) {
-    const std::string value = t->is_string() ? t->as_string() : "";
-    if (value != "ndjson" && value != "binary") {
-      respond(connection,
-              response_line(request,
-                            Outcome::failure(codes::kInvalidArgument,
-                                             "'transport' must be \"ndjson\" or \"binary\""),
-                            timer.elapsed_ms(), 0.0, connection->protocol.load()),
-              binary);
-      metrics_.count("requests_error");
-      return;
-    }
-    if (value == "binary" && wanted < 2) {
-      respond(connection,
-              response_line(request,
-                            Outcome::failure(codes::kInvalidArgument,
-                                             "the binary transport requires protocol >= 2"),
-                            timer.elapsed_ms(), 0.0, connection->protocol.load()),
-              binary);
-      metrics_.count("requests_error");
-      return;
-    }
-    transport = value;
-  }
-
-  connection->protocol.store(wanted);
-  util::JsonWriter w;
-  w.begin_object();
-  w.key("protocol").value(wanted);
-  w.key("server").value("lid_serve");
-  w.key("transports").begin_array().value("ndjson").value("binary").end_array();
-  w.key("transport").value(transport);
-  w.key("max_request_bytes").value(options_.max_request_bytes);
-  w.end_object();
-  const Outcome outcome = Outcome::success(w.str());
-  metrics_.count("requests_ok");
-  // The hello response itself already speaks the negotiated protocol.
-  respond(connection, response_line(request, outcome, timer.elapsed_ms(), 0.0, wanted), binary);
-  log_request(*connection, request, "ok", 0.0, timer.elapsed_ms());
-}
-
-void Server::respond(const std::shared_ptr<Connection>& connection, const std::string& line,
-                     bool binary) {
-  // In kind: a frame for a framed request, a newline-terminated line
-  // otherwise. The JSON bytes inside are identical either way.
-  std::string framed;
-  if (binary) {
-    framed = frame_message(line);
-  } else {
-    framed = line;
-    framed.push_back('\n');
-  }
-
-  if (faults_.active()) {
-    const FaultDecision fault = faults_.decide();
-    if (fault.stall_ms > 0.0) {
-      // Worker stall: the response (and this worker) hang for a while.
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(fault.stall_ms));
-    }
-    if (fault.any()) metrics_.count("faults_injected");
-    if (fault.drop) {
-      // Connection reset without a byte of response. shutdown(), not
-      // close(): the reader thread still owns the fd (its recv returns 0
-      // and the Connection destructor does the close).
-      const std::lock_guard<std::mutex> lock(connection->write_mutex);
-      ::shutdown(connection->fd, SHUT_RDWR);
-      return;
-    }
-    if (fault.garbage) {
-      // A complete line that is not valid JSON: a corrupted frame.
-      framed = "!corrupted-frame #$%&\n";
-    } else if (fault.torn) {
-      // A prefix of the real response with no newline, then EOF: a torn
-      // write / crash mid-response.
-      framed.resize(std::max<std::size_t>(1, framed.size() / 2));
-    }
-    const std::lock_guard<std::mutex> lock(connection->write_mutex);
-    std::size_t sent = 0;
-    while (sent < framed.size()) {
-      const ssize_t n =
-          ::send(connection->fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return;
-      }
-      sent += static_cast<std::size_t>(n);
-    }
-    if (fault.torn) ::shutdown(connection->fd, SHUT_RDWR);
-    metrics_.count("bytes_out", static_cast<std::int64_t>(framed.size()));
-    return;
-  }
-
-  const std::lock_guard<std::mutex> lock(connection->write_mutex);
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    // MSG_NOSIGNAL: a client that hung up must not SIGPIPE the daemon.
-    const ssize_t n =
-        ::send(connection->fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;  // client gone; drop the response
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  metrics_.count("bytes_out", static_cast<std::int64_t>(framed.size()));
 }
 
 void Server::log_request(const Connection& connection, const Request& request,
@@ -605,8 +234,8 @@ std::string Server::stats_json() const {
   w.key("executed").value(pool_ ? pool_->executed() : 0);
   w.key("shed").value(pool_ ? pool_->shed() : 0);
   w.key("deadline_expired").value(pool_ ? pool_->expired() : 0);
-  w.key("connections_total").value(connections_total_.load());
-  w.key("active_connections").value(active_connections_.load());
+  w.key("connections_total").value(listener_.connections_total());
+  w.key("active_connections").value(listener_.active_connections());
   w.key("pid").value(static_cast<std::int64_t>(::getpid()));
   w.key("start_unix_ms").value(start_unix_ms_);
   w.key("uptime_ms").value(static_cast<std::int64_t>(uptime_.elapsed_ms()));
@@ -624,7 +253,7 @@ std::string Server::stats_json() const {
   w.end_object();
   w.key("latency").raw(latency_.to_json());
   w.key("registry").raw(registry_->stats_json());
-  if (faults_.active()) w.key("faults").raw(faults_.stats_json());
+  if (listener_.faults().active()) w.key("faults").raw(listener_.faults().stats_json());
   w.end_object();
   return w.str();
 }

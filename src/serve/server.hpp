@@ -1,13 +1,16 @@
-// The lid_serve daemon core: a socket front end over the engine TaskPool.
+// The lid_serve daemon core: the shared front door (listener.hpp) over the
+// engine TaskPool.
 //
 // Architecture (one process, no external dependencies):
 //
-//   accept thread ──► one reader thread per connection ──► bounded TaskPool
-//                                                      ◄── worker responses
+//   Listener: accept thread ──► one reader thread per connection ──► bounded TaskPool
+//                                                                ◄── worker responses
 //
-// Readers parse newline-delimited JSON requests (protocol.hpp) and submit
-// them to the pool. Robustness properties, in the paper's own queueing
-// terms (finite queues + backpressure turned on the server itself):
+// The Listener (the same one the cluster router uses) reads, frames and
+// parses each request once; the Server answers `stats` and `hello` on the
+// reader and submits everything else to the pool. Robustness properties, in
+// the paper's own queueing terms (finite queues + backpressure turned on the
+// server itself):
 //
 //   * bounded admission — the pool queue has a fixed capacity; when it is
 //     full the reader answers `overloaded` immediately (explicit load
@@ -28,27 +31,25 @@
 // Transports: every connection speaks NDJSON; a message starting with the
 // frame magic (frame.hpp) is a length-prefixed binary frame instead, and the
 // two may interleave freely — each response uses the transport its request
-// arrived in. The `hello` verb (handled reader-side, like `stats`) upgrades
+// arrived in. The `hello` verb (answered reader-side, like `stats`) upgrades
 // the connection to protocol v2, after which response envelopes carry
 // `"protocol":2`. Connections that never send `hello` get byte-identical v1
 // behavior. The server also owns the model registry (registry.hpp) backing
 // the v2 `register-model` / `model` request family.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "engine/metrics.hpp"
 #include "engine/task_pool.hpp"
 #include "lid_api.hpp"
 #include "serve/faults.hpp"
 #include "serve/histogram.hpp"
+#include "serve/listener.hpp"
 #include "serve/protocol.hpp"
 #include "util/timer.hpp"
 
@@ -95,7 +96,8 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and spawns the accept thread + worker pool.
+  /// Binds, listens and spawns the accept thread + worker pool. A Unix
+  /// socket path with a live daemon behind it fails (listener.hpp).
   Status start();
 
   /// Requests a graceful drain. Async-signal-safe (a single write() to an
@@ -112,9 +114,9 @@ class Server {
   void stop();
 
   /// The resolved TCP port (useful with tcp_port = 0), or -1 on Unix.
-  [[nodiscard]] int port() const { return resolved_port_; }
+  [[nodiscard]] int port() const { return listener_.port(); }
   /// Human-readable listening endpoint ("unix:/path" or "tcp:host:port").
-  [[nodiscard]] const std::string& endpoint() const { return endpoint_; }
+  [[nodiscard]] const std::string& endpoint() const { return listener_.endpoint(); }
 
   /// The `stats` verb payload: queue/shed/latency snapshot as compact JSON.
   [[nodiscard]] std::string stats_json() const;
@@ -123,49 +125,29 @@ class Server {
   [[nodiscard]] Registry& registry() { return *registry_; }
 
  private:
-  struct Connection;
-
-  void accept_loop();
-  void connection_loop(std::shared_ptr<Connection> connection);
-  void handle_message(const std::shared_ptr<Connection>& connection, std::string text,
-                      bool binary);
-  void handle_hello(const std::shared_ptr<Connection>& connection, const Request& request,
-                    bool binary);
-  void respond(const std::shared_ptr<Connection>& connection, const std::string& line,
-               bool binary);
+  void handle_message(const std::shared_ptr<Connection>& connection, Message& message);
   void log_request(const Connection& connection, const Request& request,
                    const std::string& status, double wait_ms, double exec_ms);
 
   ServerOptions options_;
-  int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};
-  std::string endpoint_;
-  int resolved_port_ = -1;
-  bool unlink_on_close_ = false;
-
   std::unique_ptr<engine::TaskPool> pool_;
   std::unique_ptr<Registry> registry_;
   engine::Metrics metrics_;
   LatencyHistogram latency_;
-  FaultInjector faults_;
-
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::vector<std::thread> connection_threads_;
-  std::atomic<bool> stop_requested_{false};
-  std::atomic<std::uint64_t> next_connection_id_{0};
-  std::atomic<std::int64_t> active_connections_{0};
-  std::atomic<std::int64_t> connections_total_{0};
 
   /// Process identity reported by `stats` (pid + wall-clock start time +
   /// uptime): what a supervisor needs to notice that the process behind an
-  /// endpoint is not the one it last spoke to (a silent restart).
+  /// endpoint is not the one it last spoke to (a silent restart). No two
+  /// Servers of one process report the same start time.
   std::int64_t start_unix_ms_ = 0;
   util::Timer uptime_;
 
   std::mutex lifecycle_mutex_;
   bool started_ = false;
   bool finished_ = false;
+
+  /// Last: its reader threads use everything above.
+  Listener listener_;
 };
 
 }  // namespace lid::serve

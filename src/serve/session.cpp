@@ -88,40 +88,6 @@ Status connect_with_timeout(int fd, const sockaddr* addr, socklen_t len, double 
   return outcome;
 }
 
-/// Decodes a response: on `ok` returns the compact `result` bytes, otherwise
-/// an Error carrying the server's code + message. Also exposes the parsed
-/// envelope for callers that need more than the payload.
-Result<std::string> result_or_error(const std::string& response, util::Json* envelope_out) {
-  const util::JsonParse parsed = util::json_parse(response);
-  if (!parsed || !parsed.value.is_object()) {
-    return Error{ErrorCode::kParse, "malformed response: not a JSON object"};
-  }
-  if (envelope_out != nullptr) *envelope_out = parsed.value;
-  const util::Json* ok = parsed.value.find("ok");
-  if (ok == nullptr || !ok->is_bool()) {
-    return Error{ErrorCode::kParse, "malformed response: no boolean 'ok'"};
-  }
-  if (!ok->as_bool()) {
-    std::string code = "unknown";
-    std::string message;
-    if (const util::Json* error = parsed.value.find("error");
-        error != nullptr && error->is_object()) {
-      if (const util::Json* c = error->find("code"); c != nullptr && c->is_string()) {
-        code = c->as_string();
-      }
-      if (const util::Json* m = error->find("message"); m != nullptr && m->is_string()) {
-        message = m->as_string();
-      }
-    }
-    return Error{ErrorCode::kInvalidArgument, "server error [" + code + "] " + message};
-  }
-  const util::Json* result = parsed.value.find("result");
-  if (result == nullptr) {
-    return Error{ErrorCode::kParse, "ok response has no 'result'"};
-  }
-  return result->dump();
-}
-
 }  // namespace
 
 Session::Session(int fd, SessionOptions options) : fd_(fd), options_(options) {}
@@ -210,7 +176,7 @@ Status Session::handshake() {
     return Error{ErrorCode::kInvalidArgument,
                  "unsupported client protocol " + std::to_string(options_.protocol)};
   }
-  if (!options_.hello || options_.protocol < 2) {
+  if (options_.protocol < 2) {
     protocol_ = 1;
     return Unit{};
   }
@@ -220,34 +186,21 @@ Status Session::handshake() {
   w.key("protocol").value(options_.protocol);
   w.key("transport").value(options_.binary ? "binary" : "ndjson");
   w.end_object();
-  const Status sent = send_message(w.str());
-  if (!sent) return sent.error();
-  const Result<std::string> response = recv_message(options_.timeout_ms);
-  if (!response) return response.error();
-
-  util::Json envelope;
-  const Result<std::string> payload = result_or_error(*response, &envelope);
-  if (!payload) {
-    // A pre-v2 server answers `unknown_verb`: stay on v1 (NDJSON only).
-    if (const util::Json* error = envelope.find("error");
-        error != nullptr && error->is_object()) {
-      if (const util::Json* code = error->find("code");
-          code != nullptr && code->is_string() && code->as_string() == codes::kUnknownVerb) {
-        if (options_.binary) {
-          return Error{ErrorCode::kInvalidArgument,
-                       "server does not speak protocol 2; binary transport unavailable"};
-        }
-        protocol_ = 1;
-        return Unit{};
-      }
+  const Result<ResponseEnvelope> envelope = exchange(w.str());
+  if (!envelope) return envelope.error();
+  if (envelope->error_code == codes::kUnknownVerb) {
+    // A pre-v2 server: stay on v1 (NDJSON only).
+    if (options_.binary) {
+      return Error{ErrorCode::kInvalidArgument,
+                   "server does not speak protocol 2; binary transport unavailable"};
     }
-    return payload.error();
+    protocol_ = 1;
+    return Unit{};
   }
-  const util::JsonParse parsed = util::json_parse(*payload);
-  if (parsed && parsed.value.is_object()) {
-    if (const util::Json* p = parsed.value.find("protocol"); p != nullptr && p->is_number()) {
-      protocol_ = static_cast<int>(p->as_int());
-    }
+  const Result<const util::Json*> result = envelope->result();
+  if (!result) return result.error();
+  if (const util::Json* p = (*result)->find("protocol"); p != nullptr && p->is_number()) {
+    protocol_ = static_cast<int>(p->as_int());
   }
   return Unit{};
 }
@@ -333,37 +286,42 @@ Result<std::string> Session::call(const std::string& json) {
   return recv_message(options_.timeout_ms);
 }
 
-Result<ModelHandle> Session::register_model(const std::string& netlist_text) {
-  util::JsonWriter w;
+Result<ResponseEnvelope> Session::exchange(const std::string& json) {
+  const Result<std::string> response = call(json);
+  if (!response) return response.error();
+  return decode_response(*response);
+}
+
+util::JsonWriter& Session::begin_request(util::JsonWriter& w, const char* verb) {
   w.begin_object();
   w.key("id").value(static_cast<std::int64_t>(++next_id_));
-  w.key("verb").value("register-model");
-  w.key("netlist").value(netlist_text);
-  w.end_object();
-  const Result<std::string> response = call(w.str());
+  return w.key("verb").value(verb);
+}
+
+Result<std::string> Session::payload(const std::string& json) {
+  const Result<std::string> response = call(json);
   if (!response) return response.error();
-  const Result<std::string> payload = result_or_error(*response, nullptr);
-  if (!payload) return payload.error();
-  const util::JsonParse parsed = util::json_parse(*payload);
-  if (!parsed || !parsed.value.is_object()) {
-    return Error{ErrorCode::kParse, "malformed register-model payload"};
-  }
+  return extract_result(*response);
+}
+
+Result<ModelHandle> Session::register_model(const std::string& netlist_text) {
+  util::JsonWriter w;
+  begin_request(w, "register-model").key("netlist").value(netlist_text).end_object();
+  const Result<ResponseEnvelope> envelope = exchange(w.str());
+  if (!envelope) return envelope.error();
+  const Result<const util::Json*> result = envelope->result();
+  if (!result) return result.error();
+  const util::Json& info = **result;
+  const auto number = [&](const char* key) {
+    const util::Json* v = info.find(key);
+    return v != nullptr ? v->as_int() : 0;
+  };
   ModelHandle handle;
-  if (const util::Json* v = parsed.value.find("model"); v != nullptr && v->is_string()) {
-    handle.fingerprint = v->as_string();
-  }
-  if (const util::Json* v = parsed.value.find("bytes"); v != nullptr && v->is_number()) {
-    handle.bytes = static_cast<std::size_t>(v->as_int());
-  }
-  if (const util::Json* v = parsed.value.find("cores"); v != nullptr && v->is_number()) {
-    handle.cores = static_cast<std::size_t>(v->as_int());
-  }
-  if (const util::Json* v = parsed.value.find("channels"); v != nullptr && v->is_number()) {
-    handle.channels = static_cast<std::size_t>(v->as_int());
-  }
-  if (const util::Json* v = parsed.value.find("relay_stations"); v != nullptr && v->is_number()) {
-    handle.relay_stations = static_cast<int>(v->as_int());
-  }
+  if (const util::Json* v = info.find("model")) handle.fingerprint = v->as_string();
+  handle.bytes = static_cast<std::size_t>(number("bytes"));
+  handle.cores = static_cast<std::size_t>(number("cores"));
+  handle.channels = static_cast<std::size_t>(number("channels"));
+  handle.relay_stations = static_cast<int>(number("relay_stations"));
   if (!handle.valid()) {
     return Error{ErrorCode::kParse, "register-model payload has no 'model' fingerprint"};
   }
@@ -372,15 +330,9 @@ Result<ModelHandle> Session::register_model(const std::string& netlist_text) {
 
 Status Session::evict_model(const ModelHandle& model) {
   util::JsonWriter w;
-  w.begin_object();
-  w.key("id").value(static_cast<std::int64_t>(++next_id_));
-  w.key("verb").value("evict-model");
-  w.key("model").value(model.fingerprint);
-  w.end_object();
-  const Result<std::string> response = call(w.str());
-  if (!response) return response.error();
-  const Result<std::string> payload = result_or_error(*response, nullptr);
-  if (!payload) return payload.error();
+  begin_request(w, "evict-model").key("model").value(model.fingerprint).end_object();
+  const Result<std::string> evicted = payload(w.str());
+  if (!evicted) return evicted.error();
   return Unit{};
 }
 
@@ -390,10 +342,7 @@ Result<std::string> Session::query(const ModelHandle& model, const std::string& 
     return Error{ErrorCode::kInvalidArgument, "query: invalid (empty) model handle"};
   }
   util::JsonWriter w;
-  w.begin_object();
-  w.key("id").value(static_cast<std::int64_t>(++next_id_));
-  w.key("verb").value(verb);
-  w.key("model").value(model.fingerprint);
+  begin_request(w, verb.c_str()).key("model").value(model.fingerprint);
   if (!extra_args_json.empty()) {
     const util::JsonParse extra = util::json_parse(extra_args_json);
     if (!extra || !extra.value.is_object()) {
@@ -405,31 +354,19 @@ Result<std::string> Session::query(const ModelHandle& model, const std::string& 
     }
   }
   w.end_object();
-  const Result<std::string> response = call(w.str());
-  if (!response) return response.error();
-  return result_or_error(*response, nullptr);
+  return payload(w.str());
 }
 
 Result<std::string> Session::list_models() {
   util::JsonWriter w;
-  w.begin_object();
-  w.key("id").value(static_cast<std::int64_t>(++next_id_));
-  w.key("verb").value("list-models");
-  w.end_object();
-  const Result<std::string> response = call(w.str());
-  if (!response) return response.error();
-  return result_or_error(*response, nullptr);
+  begin_request(w, "list-models").end_object();
+  return payload(w.str());
 }
 
 Result<std::string> Session::stats() {
   util::JsonWriter w;
-  w.begin_object();
-  w.key("id").value(static_cast<std::int64_t>(++next_id_));
-  w.key("verb").value("stats");
-  w.end_object();
-  const Result<std::string> response = call(w.str());
-  if (!response) return response.error();
-  return result_or_error(*response, nullptr);
+  begin_request(w, "stats").end_object();
+  return payload(w.str());
 }
 
 }  // namespace lid::serve

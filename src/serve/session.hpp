@@ -1,5 +1,6 @@
-// The protocol-v2 client API: a Session owns one connection plus its
-// negotiated protocol/transport, and hands out typed ModelHandles.
+// The client API: a Session owns one connection plus its negotiated
+// protocol/transport, and hands out typed ModelHandles. It is the only
+// client class; the retry layer (retry.hpp) reconnects Sessions.
 //
 // The intended shape of a v2 client program:
 //
@@ -18,9 +19,10 @@
 // transport, and `recv_message` accepts either, so a session never has to
 // care which lane a response used.
 //
-// Compatibility: connecting with `hello = false` (or protocol = 1) yields a
-// plain v1 NDJSON session, byte-identical to the legacy serve::Client — which
-// is now a thin wrapper over this class (client.hpp).
+// Compatibility: connecting with protocol = 1 sends no `hello` and yields a
+// plain v1 NDJSON session, byte for byte what pre-v2 clients sent (the
+// cluster router talks to its workers this way). Every response is read
+// through decode_response (protocol.hpp).
 #pragma once
 
 #include <cstddef>
@@ -28,19 +30,18 @@
 #include <string>
 
 #include "lid_api.hpp"
+#include "serve/protocol.hpp"
 
 namespace lid::serve {
 
 struct SessionOptions {
   /// Protocol to negotiate (1..kProtocolVersion). 1 skips negotiation
-  /// entirely — a legacy NDJSON session.
+  /// entirely — a legacy NDJSON session; the server sees no traffic until
+  /// the first real request.
   int protocol = 2;
   /// Send requests as binary frames instead of NDJSON lines. Requires
   /// protocol >= 2.
   bool binary = false;
-  /// Send `hello` on connect. When false the session stays v1 and the
-  /// server sees no traffic until the first real request.
-  bool hello = true;
   /// Default receive timeout applied by call()/typed wrappers; 0 = forever.
   double timeout_ms = 0.0;
   /// Bound on connect() itself; 0 = the OS default (which can be minutes for
@@ -76,8 +77,8 @@ class Session {
 
   void close();
 
-  /// The negotiated protocol version (1 when hello was skipped or the
-  /// server predates v2).
+  /// The negotiated protocol version (1 when protocol 1 was asked for or
+  /// the server predates v2).
   [[nodiscard]] int protocol() const { return protocol_; }
   /// Whether requests go out as binary frames.
   [[nodiscard]] bool binary() const { return options_.binary; }
@@ -128,6 +129,15 @@ class Session {
   /// Sends `hello` and records the negotiated protocol. A server that does
   /// not know the verb (pre-v2) downgrades the session to v1.
   Status handshake();
+
+  /// call() + decode_response: the decoded envelope of one round trip.
+  Result<ResponseEnvelope> exchange(const std::string& json);
+
+  /// call() + extract_result: the compact `result` bytes (or the error).
+  Result<std::string> payload(const std::string& json);
+
+  /// Opens a typed request: `{"id":<next id>,"verb":verb`.
+  util::JsonWriter& begin_request(util::JsonWriter& w, const char* verb);
 
   int fd_ = -1;
   SessionOptions options_;

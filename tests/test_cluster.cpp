@@ -13,10 +13,10 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lid_api.hpp"
-#include "serve/client.hpp"
 #include "serve/cluster.hpp"
 #include "serve/faults.hpp"
 #include "serve/protocol.hpp"
@@ -136,10 +136,13 @@ TEST(HashRing, EmptyRingRoutesNowhere) {
 // Cluster over adopted in-process workers.
 
 struct LiveCluster {
-  explicit LiveCluster(int workers, serve::FaultPlan fault_on_worker0 = {}) {
+  explicit LiveCluster(int workers, serve::FaultPlan fault_on_worker0 = {},
+                       std::size_t registry_max_models = 64,
+                       double forward_timeout_ms = 2'000.0) {
     for (int i = 0; i < workers; ++i) {
       serve::ServerOptions options;
       options.unix_socket = unique_path("lid-cluster-worker");
+      options.registry_max_models = registry_max_models;
       if (i == 0) options.fault_plan = fault_on_worker0;
       servers.push_back(std::make_unique<serve::Server>(options));
       EXPECT_TRUE(servers.back()->start().ok());
@@ -153,7 +156,7 @@ struct LiveCluster {
     cluster_options.probe_timeout_ms = 500.0;
     cluster_options.eject_after = 2;
     cluster_options.connect_timeout_ms = 500.0;
-    cluster_options.forward_timeout_ms = 2'000.0;
+    cluster_options.forward_timeout_ms = forward_timeout_ms;
     cluster_options.breaker_cooldown_ms = 100.0;
     if (::getenv("LID_TEST_LOG") != nullptr) cluster_options.log = &std::cerr;
     cluster = std::make_unique<serve::Cluster>(cluster_options);
@@ -165,9 +168,9 @@ struct LiveCluster {
     for (const std::unique_ptr<serve::Server>& server : servers) server->stop();
   }
 
-  [[nodiscard]] serve::Client connect() const {
-    Result<serve::Client> connected =
-        serve::Client::connect_unix(cluster_options.unix_socket);
+  [[nodiscard]] serve::Session connect() const {
+    Result<serve::Session> connected =
+        serve::Session::connect_unix(cluster_options.unix_socket, {.protocol = 1});
     EXPECT_TRUE(connected.ok());
     return std::move(connected).value();
   }
@@ -179,17 +182,17 @@ struct LiveCluster {
 
 TEST(Cluster, PayloadsByteIdenticalToSingleServerAndDirect) {
   LiveCluster live(3);
-  serve::Client via_cluster = live.connect();
+  serve::Session via_cluster = live.connect();
 
   // One plain single server as the middle term of the identity.
   serve::ServerOptions single_options;
   single_options.unix_socket = unique_path("lid-cluster-single");
   serve::Server single(single_options);
   ASSERT_TRUE(single.start().ok());
-  Result<serve::Client> single_connected =
-      serve::Client::connect_unix(single_options.unix_socket);
+  Result<serve::Session> single_connected =
+      serve::Session::connect_unix(single_options.unix_socket, {.protocol = 1});
   ASSERT_TRUE(single_connected.ok());
-  serve::Client via_single = std::move(single_connected).value();
+  serve::Session via_single = std::move(single_connected).value();
 
   const std::vector<std::string> lines = {
       R"({"verb":"ping"})",
@@ -217,7 +220,7 @@ TEST(Cluster, PayloadsByteIdenticalToSingleServerAndDirect) {
 
 TEST(Cluster, DrainedHotModelReRegistersByteIdentically) {
   LiveCluster live(3);
-  serve::Client client = live.connect();
+  serve::Session client = live.connect();
 
   // Register through the router; remember the fingerprint.
   const Result<std::string> registered =
@@ -258,6 +261,50 @@ TEST(Cluster, DrainedHotModelReRegistersByteIdentically) {
   EXPECT_EQ(stats.value.find("failed")->as_int(), 0);
 }
 
+TEST(Cluster, EvictedModelsAreReRegisteredInsteadOfAnsweringUnknownModel) {
+  // Two workers whose registries hold two models each, six models
+  // registered through the router: the workers evict, and the router's
+  // record of which worker holds which model goes stale.
+  LiveCluster live(2, {}, /*registry_max_models=*/2);
+  serve::Session client = live.connect();
+  serve::Registry registry{serve::RegistryOptions{}};
+  std::vector<std::string> fingerprints;
+  std::vector<std::string> baselines;
+  for (int m = 0; m < 6; ++m) {
+    const std::string text = "core A\ncore B\ncore C\nchannel A -> B\nchannel B -> C rs=" +
+                             std::to_string(m + 1) + "\nchannel C -> A\n";
+    const Result<std::string> registered = client.call(netlist_request("register-model", text));
+    ASSERT_TRUE(registered.ok());
+    const Result<std::string> payload = serve::extract_result(*registered);
+    ASSERT_TRUE(payload.ok()) << *registered;
+    const util::JsonParse parsed = util::json_parse(*payload);
+    ASSERT_TRUE(parsed && parsed.value.is_object());
+    fingerprints.push_back(parsed.value.find("model")->as_string());
+    ASSERT_TRUE(direct(netlist_request("register-model", text), &registry).ok);
+    const serve::Outcome baseline =
+        direct(model_request("analyze", fingerprints.back()), &registry);
+    ASSERT_TRUE(baseline.ok);
+    baselines.push_back(baseline.payload);
+  }
+
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t m = 0; m < fingerprints.size(); ++m) {
+      const Result<std::string> response =
+          client.call(model_request("analyze", fingerprints[m]));
+      ASSERT_TRUE(response.ok());
+      EXPECT_NE(error_code_of(*response), serve::codes::kUnknownModel) << *response;
+      const Result<std::string> payload = serve::extract_result(*response);
+      ASSERT_TRUE(payload.ok()) << *response;
+      EXPECT_EQ(*payload, baselines[m]) << "model " << m << ", round " << round;
+    }
+  }
+
+  const util::JsonParse stats = util::json_parse(live.cluster->cluster_stats_json());
+  ASSERT_TRUE(stats && stats.value.is_object());
+  EXPECT_GE(stats.value.find("reregistrations")->as_int(), 1);
+  EXPECT_EQ(stats.value.find("failed")->as_int(), 0);
+}
+
 TEST(Cluster, WorkerKilledMidStreamFailsOverTransparently) {
   // Worker 0 drops half its responses (connection shut without writing) —
   // mid-request loss on a worker that still passes probes. With a healthy
@@ -266,7 +313,7 @@ TEST(Cluster, WorkerKilledMidStreamFailsOverTransparently) {
   drops.seed = 7;
   drops.drop_p = 0.5;
   LiveCluster live(2, drops);
-  serve::Client client = live.connect();
+  serve::Session client = live.connect();
 
   const serve::Outcome baseline = direct(netlist_request("analyze", kNetlist));
   ASSERT_TRUE(baseline.ok);
@@ -285,7 +332,7 @@ TEST(Cluster, WorkerKilledMidStreamFailsOverTransparently) {
 
 TEST(Cluster, AllWorkersDownYieldsStructuredErrorNotAHang) {
   LiveCluster live(1);
-  serve::Client client = live.connect();
+  serve::Session client = live.connect();
   ASSERT_TRUE(client.call(R"({"verb":"ping"})").ok());
 
   live.servers[0]->stop();  // the only worker dies; its socket is unlinked
@@ -299,6 +346,73 @@ TEST(Cluster, AllWorkersDownYieldsStructuredErrorNotAHang) {
   const util::JsonParse parsed = util::json_parse(*response);
   ASSERT_TRUE(parsed && parsed.value.is_object());
   EXPECT_EQ(parsed.value.find("id")->as_string(), "gone");  // id still echoed
+}
+
+TEST(Cluster, HungWorkerCostsConcurrentRegistrationsAboutOneTimeoutEach) {
+  // Worker 0's one pool thread sleeps: its reader still answers the
+  // prober's `stats`, so it stays in routing, but every request forwarded to
+  // it hangs. Registrations and queries of models whose primary it is must
+  // each fail over within about one forward timeout (at most one more spent
+  // waiting for its placement lock), not queue one after another there.
+  constexpr double kForwardTimeoutMs = 400.0;
+  LiveCluster live(2, {}, 64, kForwardTimeoutMs);
+  serve::HashRing ring(live.cluster_options.ring_replicas);
+  ring.add(0);
+  ring.add(1);
+  std::vector<std::string> on_worker0;  // netlists whose primary is worker 0
+  for (int rs = 1; on_worker0.size() < 8; ++rs) {
+    const std::string text = "core A\ncore B\ncore C\nchannel A -> B\nchannel B -> C rs=" +
+                             std::to_string(rs) + "\nchannel C -> A\n";
+    const Result<Instance> instance = parse_netlist(text);
+    ASSERT_TRUE(instance.ok());
+    const Result<std::string> canonical = netlist_text(*instance);
+    ASSERT_TRUE(canonical.ok());
+    if (ring.primary(serve::Registry::fingerprint(*canonical)) == 0) on_worker0.push_back(text);
+  }
+  // Two models registered before the hang, for the queries.
+  std::vector<std::string> queried;
+  serve::Session client = live.connect();
+  for (int m = 0; m < 2; ++m) {
+    const Result<std::string> registered =
+        client.call(netlist_request("register-model", on_worker0[m]));
+    ASSERT_TRUE(registered.ok());
+    const Result<std::string> payload = serve::extract_result(*registered);
+    ASSERT_TRUE(payload.ok()) << *registered;
+    queried.push_back(util::json_parse(*payload).value.find("model")->as_string());
+  }
+
+  std::thread sleeper([&] {
+    Result<serve::Session> connected = serve::Session::connect_unix(
+        live.cluster_options.workers[0].unix_socket, {.protocol = 1});
+    ASSERT_TRUE(connected.ok());
+    serve::Session direct_session = std::move(connected).value();
+    EXPECT_TRUE(direct_session.call(R"({"verb":"sleep","ms":3000})").ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  std::vector<std::string> lines;
+  for (std::size_t m = 2; m < on_worker0.size(); ++m) {
+    lines.push_back(netlist_request("register-model", on_worker0[m]));
+  }
+  for (const std::string& model : queried) lines.push_back(model_request("analyze", model));
+  std::vector<std::string> responses(lines.size());
+  std::vector<double> elapsed_ms(lines.size());
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    clients.emplace_back([&, i] {
+      serve::Session session = live.connect();
+      const util::Timer timer;
+      const Result<std::string> response = session.call(lines[i]);
+      elapsed_ms[i] = timer.elapsed_ms();
+      responses[i] = response ? *response : response.error().to_string();
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_TRUE(serve::extract_result(responses[i]).ok()) << responses[i];
+    EXPECT_LT(elapsed_ms[i], 3 * kForwardTimeoutMs) << lines[i];
+  }
+  sleeper.join();
 }
 
 TEST(Cluster, SilentRestartBumpsGenerationAndCounter) {
@@ -326,9 +440,38 @@ TEST(Cluster, SilentRestartBumpsGenerationAndCounter) {
   replacement.stop();
 }
 
+TEST(Cluster, SecondRouterOnALiveSocketFailsAndTheFirstKeepsAnswering) {
+  LiveCluster live(1);
+  serve::Cluster second(live.cluster_options);
+  EXPECT_FALSE(second.start().ok()) << "the front door belongs to a live router";
+  second.stop();
+
+  serve::Session client = live.connect();
+  const Result<std::string> pong = client.call(R"({"verb":"ping"})");
+  ASSERT_TRUE(pong.ok());
+  EXPECT_NE(pong->find("\"pong\":true"), std::string::npos) << *pong;
+}
+
+TEST(Cluster, MalformedHelloGetsTheErrorCodeOfASingleServer) {
+  LiveCluster live(1);
+  serve::Session via_cluster = live.connect();
+  Result<serve::Session> single =
+      serve::Session::connect_unix(live.cluster_options.workers[0].unix_socket, {.protocol = 1});
+  ASSERT_TRUE(single.ok());
+  serve::Session via_single = std::move(single).value();
+  for (const char* hello :
+       {R"({"verb":"hello","protocol":"2"})", R"({"verb":"hello","transport":"pigeon"})"}) {
+    const Result<std::string> from_cluster = via_cluster.call(hello);
+    const Result<std::string> from_single = via_single.call(hello);
+    ASSERT_TRUE(from_cluster.ok() && from_single.ok()) << hello;
+    EXPECT_EQ(error_code_of(*from_single), serve::codes::kInvalidArgument) << *from_single;
+    EXPECT_EQ(error_code_of(*from_cluster), error_code_of(*from_single)) << *from_cluster;
+  }
+}
+
 TEST(Cluster, AggregatedStatsSumWorkersInSingleServerShape) {
   LiveCluster live(3);
-  serve::Client client = live.connect();
+  serve::Session client = live.connect();
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(client.call(R"({"verb":"ping"})").ok());
   }
@@ -365,9 +508,7 @@ TEST(Session, ConnectTimeoutBoundsFullBacklogConnect) {
   ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
   ASSERT_EQ(::listen(listener, 0), 0);
 
-  serve::SessionOptions options;
-  options.hello = false;
-  options.connect_timeout_ms = 100.0;
+  serve::SessionOptions options{.protocol = 1, .connect_timeout_ms = 100.0};
   bool saw_timeout = false;
   std::vector<serve::Session> pending;  // keep early connects alive
   for (int i = 0; i < 16 && !saw_timeout; ++i) {
@@ -402,7 +543,8 @@ TEST(Retry, DistinguishesConnectRefusedFromMidRequestLoss) {
   policy.max_backoff_ms = 0.0;
   policy.breaker_threshold = 0;
   serve::RetryingClient refused(
-      [&] { return serve::Client::connect_unix(refused_path); }, policy);
+      [&] { return serve::Session::connect_unix(refused_path, {.protocol = 1}); },
+      policy);
   EXPECT_FALSE(refused.call(R"({"verb":"ping"})").ok());
   EXPECT_EQ(refused.stats().connect_failures, 3);
   EXPECT_EQ(refused.stats().connect_refused, 3);
@@ -418,7 +560,8 @@ TEST(Retry, DistinguishesConnectRefusedFromMidRequestLoss) {
   serve::Server server(options);
   ASSERT_TRUE(server.start().ok());
   serve::RetryingClient dropped(
-      [&] { return serve::Client::connect_unix(options.unix_socket); }, policy);
+      [&] { return serve::Session::connect_unix(options.unix_socket, {.protocol = 1}); },
+      policy);
   EXPECT_FALSE(dropped.call(R"({"verb":"ping"})").ok());
   EXPECT_EQ(dropped.stats().connect_failures, 0);
   EXPECT_EQ(dropped.stats().connect_refused, 0);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "lid_api.hpp"
-#include "serve/client.hpp"
 #include "serve/frame.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -66,6 +65,14 @@ std::string model_request(const char* verb, const std::string& fingerprint) {
   util::JsonWriter w;
   w.begin_object().key("verb").value(verb).key("model").value(fingerprint).end_object();
   return w.str();
+}
+
+/// Whether `registry` holds `fingerprint`, without counting as a query.
+bool resident(const serve::Registry& registry, const std::string& fingerprint) {
+  for (const serve::ModelInfo& info : registry.list()) {
+    if (info.fingerprint == fingerprint) return true;
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -144,6 +151,44 @@ TEST(Registry, LruEvictsColdestModelFirst) {
   EXPECT_NE(registry.acquire(c), nullptr);
   EXPECT_EQ(registry.stats().evictions, 1);
   EXPECT_EQ(registry.list().size(), 2u);
+}
+
+TEST(Registry, NeverQueriedModelsAreEvictedBeforeQueriedOnes) {
+  serve::RegistryOptions options;
+  options.max_models = 2;
+  serve::Registry registry(options);
+  const std::string queried = registry.register_model(generated_netlist(5, 1))->fingerprint;
+  ASSERT_NE(registry.acquire(queried), nullptr);
+  // Registered after that query, so plain LRU would drop `queried` next;
+  // but it never served a query itself, so it leaves first.
+  const std::string idle = registry.register_model(generated_netlist(6, 2))->fingerprint;
+  const std::string fresh = registry.register_model(generated_netlist(7, 3))->fingerprint;
+  EXPECT_TRUE(resident(registry, queried));
+  EXPECT_FALSE(resident(registry, idle));
+  EXPECT_TRUE(resident(registry, fresh));
+  EXPECT_EQ(registry.stats().evictions, 1);
+
+  // Among never-queried models, the first registered leaves first.
+  const std::string later = registry.register_model(generated_netlist(8, 4))->fingerprint;
+  EXPECT_TRUE(resident(registry, queried));
+  EXPECT_FALSE(resident(registry, fresh));
+  EXPECT_TRUE(resident(registry, later));
+  EXPECT_EQ(registry.stats().evictions, 2);
+}
+
+TEST(Registry, RegisteringANeverQueriedModelAgainKeepsItsFirstInPlace) {
+  serve::RegistryOptions options;
+  options.max_models = 2;
+  serve::Registry registry(options);
+  const std::string first = registry.register_model(generated_netlist(5, 1))->fingerprint;
+  const std::string second = registry.register_model(generated_netlist(6, 2))->fingerprint;
+  // A client's warm-up registers every model again on each connection; that
+  // does not make `first` younger than `second`.
+  ASSERT_EQ(registry.register_model(generated_netlist(5, 1))->fingerprint, first);
+  const std::string third = registry.register_model(generated_netlist(7, 3))->fingerprint;
+  EXPECT_FALSE(resident(registry, first));
+  EXPECT_TRUE(resident(registry, second));
+  EXPECT_TRUE(resident(registry, third));
 }
 
 TEST(Registry, ByteBudgetBoundsResidency) {
@@ -288,9 +333,10 @@ struct LiveServer {
 TEST(ServeV2, HelloNegotiatesAndStampsEnvelopes) {
   LiveServer live;
   // A v1 client sees pre-v2 envelopes: no "protocol" field anywhere.
-  Result<serve::Client> connected_v1 = serve::Client::connect_unix(live.options.unix_socket);
+  Result<serve::Session> connected_v1 =
+      serve::Session::connect_unix(live.options.unix_socket, {.protocol = 1});
   ASSERT_TRUE(connected_v1.ok());
-  serve::Client v1 = std::move(connected_v1).value();
+  serve::Session v1 = std::move(connected_v1).value();
   const Result<std::string> pong = v1.call(R"({"id":1,"verb":"ping"})");
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(pong->find("\"protocol\""), std::string::npos);
@@ -310,9 +356,10 @@ TEST(ServeV2, HelloNegotiatesAndStampsEnvelopes) {
 
 TEST(ServeV2, HelloRejectsBadRequests) {
   LiveServer live;
-  Result<serve::Client> connected = serve::Client::connect_unix(live.options.unix_socket);
+  Result<serve::Session> connected =
+      serve::Session::connect_unix(live.options.unix_socket, {.protocol = 1});
   ASSERT_TRUE(connected.ok());
-  serve::Client raw = std::move(connected).value();
+  serve::Session raw = std::move(connected).value();
   const Result<std::string> future = raw.call(R"({"verb":"hello","protocol":3})");
   ASSERT_TRUE(future.ok());
   EXPECT_NE(future->find(serve::codes::kUnsupportedVersion), std::string::npos);
@@ -390,7 +437,7 @@ TEST(ServeV2, SessionWarmupRunsOnEveryFreshConnection) {
   LiveServer live;
   int warmups = 0;
   serve::RetryPolicy policy;
-  policy.session_warmup = [&](serve::Client& client) -> Status {
+  policy.session_warmup = [&](serve::Session& client) -> Status {
     ++warmups;
     const Result<std::string> response =
         client.call(netlist_request("register-model", kNetlist));
@@ -398,8 +445,8 @@ TEST(ServeV2, SessionWarmupRunsOnEveryFreshConnection) {
     return Unit{};
   };
   serve::RetryingClient client(
-      [&]() -> Result<serve::Client> {
-        return serve::Client::connect_unix(live.options.unix_socket);
+      [&]() -> Result<serve::Session> {
+        return serve::Session::connect_unix(live.options.unix_socket, {.protocol = 1});
       },
       policy);
   ASSERT_TRUE(client.call(R"({"verb":"ping"})").ok());

@@ -12,12 +12,12 @@
 #include <string>
 #include <vector>
 
-#include "serve/client.hpp"
 #include "serve/faults.hpp"
 #include "serve/histogram.hpp"
 #include "serve/protocol.hpp"
 #include "serve/retry.hpp"
 #include "serve/server.hpp"
+#include "serve/session.hpp"
 #include "util/cancel.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
@@ -216,8 +216,9 @@ TEST(Histogram, QuantilesAreMonotone) {
 // ---------------------------------------------------------------------------
 // In-process server tests over real sockets.
 
-serve::Client connect_or_die(const serve::Server& server) {
-  Result<serve::Client> client = serve::Client::connect_tcp("127.0.0.1", server.port());
+serve::Session connect_or_die(const serve::Server& server) {
+  Result<serve::Session> client =
+      serve::Session::connect_tcp("127.0.0.1", server.port(), {.protocol = 1});
   EXPECT_TRUE(client) << (client ? "" : client.error().to_string());
   return std::move(client).value();
 }
@@ -266,7 +267,7 @@ std::string netlist_fixture(std::uint64_t seed) {
 TEST(Server, RoundTripsEveryVerbOverTcp) {
   serve::Server server(tcp_options(2));
   ASSERT_TRUE(server.start());
-  serve::Client client = connect_or_die(server);
+  serve::Session client = connect_or_die(server);
 
   const std::string netlist = netlist_fixture(11);
   std::vector<std::string> lines = {R"({"id": "p", "verb": "ping"})",
@@ -294,7 +295,7 @@ TEST(Server, AnswersProtocolErrorsWithoutExecuting) {
   options.max_request_bytes = 200;
   serve::Server server(options);
   ASSERT_TRUE(server.start());
-  serve::Client client = connect_or_die(server);
+  serve::Session client = connect_or_die(server);
 
   Result<std::string> response = client.call("this is not json");
   ASSERT_TRUE(response);
@@ -324,15 +325,15 @@ TEST(Server, ShedsLoadWhenTheAdmissionQueueIsFull) {
   options.queue_capacity = 1;
   serve::Server server(options);
   ASSERT_TRUE(server.start());
-  serve::Client client = connect_or_die(server);
+  serve::Session client = connect_or_die(server);
 
   // Occupy the single worker, then flood: with capacity 1 at most two of the
   // pings can ever be admitted; the rest must be shed immediately (not
   // queued, not blocking the reader).
   const int kPings = 10;
-  ASSERT_TRUE(client.send_line(R"({"id": "busy", "verb": "sleep", "ms": 1000})"));
+  ASSERT_TRUE(client.send_message(R"({"id": "busy", "verb": "sleep", "ms": 1000})"));
   for (int i = 0; i < kPings; ++i) {
-    ASSERT_TRUE(client.send_line(R"({"id": "f)" + std::to_string(i) + R"(", "verb": "ping"})"));
+    ASSERT_TRUE(client.send_message(R"({"id": "f)" + std::to_string(i) + R"(", "verb": "ping"})"));
   }
 
   // All 11 responses arrive (nothing blocks, nothing is dropped); at least
@@ -342,7 +343,7 @@ TEST(Server, ShedsLoadWhenTheAdmissionQueueIsFull) {
   int overloaded = 0;
   double sheds_done_ms = -1.0;
   for (int i = 0; i < kPings + 1; ++i) {
-    const Result<std::string> response = client.recv_line();
+    const Result<std::string> response = client.recv_message();
     ASSERT_TRUE(response);
     if (response->find(serve::codes::kOverloaded) != std::string::npos) {
       ++overloaded;
@@ -361,16 +362,16 @@ TEST(Server, ShedsLoadWhenTheAdmissionQueueIsFull) {
 TEST(Server, ExpiredDeadlinesAreAnsweredWithoutExecuting) {
   serve::Server server(tcp_options(1));
   ASSERT_TRUE(server.start());
-  serve::Client client = connect_or_die(server);
+  serve::Session client = connect_or_die(server);
 
   // The worker is busy for 300 ms; the second request allows only 1 ms of
   // queueing, so it must come back `deadline_exceeded`, unexecuted.
-  ASSERT_TRUE(client.send_line(R"({"id": "busy", "verb": "sleep", "ms": 300})"));
-  ASSERT_TRUE(client.send_line(R"({"id": "late", "verb": "ping", "deadline_ms": 1})"));
+  ASSERT_TRUE(client.send_message(R"({"id": "busy", "verb": "sleep", "ms": 300})"));
+  ASSERT_TRUE(client.send_message(R"({"id": "late", "verb": "ping", "deadline_ms": 1})"));
 
   bool saw_deadline = false;
   for (int i = 0; i < 2; ++i) {
-    const Result<std::string> response = client.recv_line();
+    const Result<std::string> response = client.recv_message();
     ASSERT_TRUE(response);
     if (response->find("\"late\"") != std::string::npos) {
       EXPECT_NE(response->find(serve::codes::kDeadlineExceeded), std::string::npos) << *response;
@@ -385,26 +386,26 @@ TEST(Server, ExpiredDeadlinesAreAnsweredWithoutExecuting) {
 TEST(Server, DrainCompletesAdmittedRequests) {
   serve::Server server(tcp_options(1));
   ASSERT_TRUE(server.start());
-  serve::Client client = connect_or_die(server);
+  serve::Session client = connect_or_die(server);
 
   const std::string netlist = netlist_fixture(13);
-  ASSERT_TRUE(client.send_line(R"({"id": "busy", "verb": "sleep", "ms": 100})"));
+  ASSERT_TRUE(client.send_message(R"({"id": "busy", "verb": "sleep", "ms": 100})"));
   for (int i = 0; i < 3; ++i) {
     util::JsonWriter w;
     w.begin_object().key("id").value("q" + std::to_string(i));
     w.key("verb").value("analyze").key("netlist").value(netlist).end_object();
-    ASSERT_TRUE(client.send_line(w.str()));
+    ASSERT_TRUE(client.send_message(w.str()));
   }
   // Give the reader a moment to admit all four, then initiate the drain the
   // same way the SIGTERM handler does.
-  const Result<std::string> first = client.recv_line();  // the sleep: all admitted by now
+  const Result<std::string> first = client.recv_message();  // the sleep: all admitted by now
   ASSERT_TRUE(first);
   EXPECT_NE(first->find("\"busy\""), std::string::npos);
   server.request_stop();
 
   // Every admitted request still gets its (successful) response.
   for (int i = 0; i < 3; ++i) {
-    const Result<std::string> response = client.recv_line();
+    const Result<std::string> response = client.recv_message();
     ASSERT_TRUE(response) << "response lost in drain";
     EXPECT_TRUE(serve::extract_result(*response)) << *response;
   }
@@ -428,7 +429,7 @@ TEST(Server, PayloadsAreByteIdenticalToDirectExecution) {
   for (const int workers : {1, 4}) {
     serve::Server server(tcp_options(workers));
     ASSERT_TRUE(server.start());
-    serve::Client client = connect_or_die(server);
+    serve::Session client = connect_or_die(server);
     for (const std::string& line : lines) {
       const serve::Outcome direct = run_line(line);
       ASSERT_TRUE(direct.ok) << line;
@@ -448,9 +449,10 @@ TEST(Server, UnixSocketEndToEnd) {
   options.workers = 2;
   serve::Server server(options);
   ASSERT_TRUE(server.start());
-  Result<serve::Client> connected = serve::Client::connect_unix(options.unix_socket);
+  Result<serve::Session> connected =
+      serve::Session::connect_unix(options.unix_socket, {.protocol = 1});
   ASSERT_TRUE(connected) << (connected ? "" : connected.error().to_string());
-  serve::Client client = std::move(connected).value();
+  serve::Session client = std::move(connected).value();
   const Result<std::string> response = client.call(R"({"id": 1, "verb": "ping"})");
   ASSERT_TRUE(response);
   EXPECT_NE(response->find("\"pong\":true"), std::string::npos);
@@ -463,12 +465,35 @@ TEST(Server, UnixSocketEndToEnd) {
   again.stop();
 }
 
+TEST(Server, SecondServerOnALiveSocketFailsAndTheFirstKeepsAnswering) {
+  serve::ServerOptions options;
+  options.unix_socket = ::testing::TempDir() + "lid_serve_live_test.sock";
+  serve::Server first(options);
+  ASSERT_TRUE(first.start());
+
+  // The path has a live daemon behind it: a second server must not take it
+  // over, and stopping the loser must not remove the winner's socket.
+  serve::Server second(options);
+  EXPECT_FALSE(second.start());
+  second.stop();
+
+  Result<serve::Session> connected =
+      serve::Session::connect_unix(options.unix_socket, {.protocol = 1});
+  ASSERT_TRUE(connected) << (connected ? "" : connected.error().to_string());
+  serve::Session client = std::move(connected).value();
+  const Result<std::string> response = client.call(R"({"id": 1, "verb": "ping"})");
+  ASSERT_TRUE(response);
+  EXPECT_NE(response->find("\"pong\":true"), std::string::npos);
+  client.close();
+  first.stop();
+}
+
 TEST(Server, StatsReportConfigurationAndCounters) {
   serve::ServerOptions options = tcp_options(3);
   options.queue_capacity = 17;
   serve::Server server(options);
   ASSERT_TRUE(server.start());
-  serve::Client client = connect_or_die(server);
+  serve::Session client = connect_or_die(server);
   ASSERT_TRUE(client.call(R"({"verb": "ping"})"));
   const Result<std::string> response = client.call(R"({"id": "s", "verb": "stats"})");
   ASSERT_TRUE(response);
@@ -604,15 +629,15 @@ TEST(Protocol, DeadlineExpiredAtEntryHonorsPolicy) {
 TEST(Server, QueueExpiredDegradeServesHeuristicFallback) {
   serve::Server server(tcp_options(1));
   ASSERT_TRUE(server.start());
-  serve::Client client = connect_or_die(server);
+  serve::Session client = connect_or_die(server);
   const std::string netlist = netlist_fixture(11);
 
-  ASSERT_TRUE(client.send_line(R"({"id": "busy", "verb": "sleep", "ms": 200})"));
-  ASSERT_TRUE(client.send_line(size_queues_line(netlist, "both", 0, true, 1.0)));
+  ASSERT_TRUE(client.send_message(R"({"id": "busy", "verb": "sleep", "ms": 200})"));
+  ASSERT_TRUE(client.send_message(size_queues_line(netlist, "both", 0, true, 1.0)));
 
   std::string degraded_response;
   for (int i = 0; i < 2; ++i) {
-    const Result<std::string> response = client.recv_line();
+    const Result<std::string> response = client.recv_message();
     ASSERT_TRUE(response);
     if (response->find("\"sq\"") != std::string::npos) degraded_response = *response;
   }
@@ -633,7 +658,7 @@ TEST(Server, QueueExpiredDegradeServesHeuristicFallback) {
 TEST(Server, DeadlineExpiringMidExecutionFreesTheWorker) {
   serve::Server server(tcp_options(1));
   ASSERT_TRUE(server.start());
-  serve::Client client = connect_or_die(server);
+  serve::Session client = connect_or_die(server);
 
   util::Timer timer;
   const Result<std::string> response =
@@ -713,7 +738,8 @@ TEST(Server, RetryingClientSurvivesInjectedFaults) {
   policy.max_backoff_ms = 10.0;
   policy.breaker_threshold = 0;      // faults are random; don't trip fast-fail
   serve::RetryingClient client(
-      [&]() { return serve::Client::connect_tcp("127.0.0.1", server.port()); }, policy);
+      [&]() { return serve::Session::connect_tcp("127.0.0.1", server.port(), {.protocol = 1}); },
+      policy);
 
   int ok = 0;
   for (int i = 0; i < 40; ++i) {
@@ -744,7 +770,8 @@ TEST(Retry, CircuitBreakerFailsFastAgainstADeadEndpoint) {
   policy.breaker_threshold = 2;
   policy.breaker_cooldown_ms = 60'000.0;  // stays open for the whole test
   serve::RetryingClient client(
-      [] { return serve::Client::connect_unix("/nonexistent/lid-test.sock"); }, policy);
+      [] { return serve::Session::connect_unix("/nonexistent/lid-test.sock", {.protocol = 1}); },
+      policy);
 
   const Result<std::string> first = client.call(R"({"verb": "ping"})");
   EXPECT_FALSE(first);
@@ -765,16 +792,17 @@ TEST(Retry, OverloadedResponsesAreRetriedWithoutFeedingTheBreaker) {
   ASSERT_TRUE(server.start());
 
   // Saturate the single worker + single queue slot.
-  serve::Client saturator = connect_or_die(server);
-  ASSERT_TRUE(saturator.send_line(R"({"id": "b1", "verb": "sleep", "ms": 400})"));
-  ASSERT_TRUE(saturator.send_line(R"({"id": "b2", "verb": "sleep", "ms": 400})"));
+  serve::Session saturator = connect_or_die(server);
+  ASSERT_TRUE(saturator.send_message(R"({"id": "b1", "verb": "sleep", "ms": 400})"));
+  ASSERT_TRUE(saturator.send_message(R"({"id": "b2", "verb": "sleep", "ms": 400})"));
 
   serve::RetryPolicy policy;
   policy.max_attempts = 50;
   policy.base_backoff_ms = 20.0;
   policy.max_backoff_ms = 100.0;
   serve::RetryingClient client(
-      [&]() { return serve::Client::connect_tcp("127.0.0.1", server.port()); }, policy);
+      [&]() { return serve::Session::connect_tcp("127.0.0.1", server.port(), {.protocol = 1}); },
+      policy);
   const Result<std::string> response = client.call(R"({"id": "r", "verb": "ping"})");
   ASSERT_TRUE(response) << response.error().to_string();
   EXPECT_NE(response->find("\"pong\":true"), std::string::npos)
@@ -783,16 +811,16 @@ TEST(Retry, OverloadedResponsesAreRetriedWithoutFeedingTheBreaker) {
   server.stop();
 }
 
-TEST(Client, RecvTimeoutReturnsTimeoutError) {
+TEST(Session, RecvTimeoutReturnsTimeoutError) {
   serve::Server server(tcp_options(1));
   ASSERT_TRUE(server.start());
-  serve::Client client = connect_or_die(server);
-  ASSERT_TRUE(client.send_line(R"({"id": "z", "verb": "sleep", "ms": 400})"));
-  const Result<std::string> timed_out = client.recv_line(30.0);
+  serve::Session client = connect_or_die(server);
+  ASSERT_TRUE(client.send_message(R"({"id": "z", "verb": "sleep", "ms": 400})"));
+  const Result<std::string> timed_out = client.recv_message(30.0);
   ASSERT_FALSE(timed_out);
   EXPECT_EQ(timed_out.error().code, ErrorCode::kTimeout);
   // The full response is still readable afterwards (nothing was consumed).
-  const Result<std::string> eventual = client.recv_line();
+  const Result<std::string> eventual = client.recv_message();
   ASSERT_TRUE(eventual);
   EXPECT_NE(eventual->find("\"slept_ms\":400"), std::string::npos);
   server.stop();
@@ -805,7 +833,7 @@ TEST(Server, MalformedCorpusGetsStructuredErrors) {
   ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
   serve::Server server(tcp_options(1));
   ASSERT_TRUE(server.start());
-  serve::Client client = connect_or_die(server);
+  serve::Session client = connect_or_die(server);
 
   int netlists = 0;
   int documents = 0;

@@ -1,6 +1,6 @@
 // lid_cluster — the sharded multi-process cluster front door.
 //
-//   lid_cluster --socket /run/lid-cluster.sock --workers 3 \
+//   lid_cluster --socket /run/lid-cluster.sock --workers 3
 //               --serve-binary ./lid_serve --worker-dir /tmp/lid-cluster
 //
 // Spawns (or adopts) N `lid_serve` worker processes and routes the full

@@ -66,7 +66,6 @@
 #include <vector>
 
 #include "lid_api.hpp"
-#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/retry.hpp"
@@ -387,7 +386,6 @@ int main(int argc, char** argv) {
     serve::SessionOptions session_options;
     session_options.binary = transport == "binary";
     session_options.protocol = (registered || session_options.binary) ? 2 : 1;
-    session_options.hello = session_options.protocol >= 2;
 
     std::atomic<bool> stop{false};
     std::vector<ClientStats> stats(static_cast<std::size_t>(clients));
@@ -402,7 +400,7 @@ int main(int argc, char** argv) {
         if (registered) {
           // Re-register every workload model on each fresh connection so a
           // reconnect (failover, torn connection) never sees unknown_model.
-          policy.session_warmup = [&](serve::Client& peer) -> Status {
+          policy.session_warmup = [&](serve::Session& peer) -> Status {
             for (const std::string& text : netlist_texts) {
               util::JsonWriter reg;
               reg.begin_object();
@@ -411,10 +409,8 @@ int main(int argc, char** argv) {
               reg.end_object();
               const Result<std::string> response = peer.call(reg.str());
               if (!response) return response.error();
-              const util::JsonParse parsed = util::json_parse(*response);
-              const util::Json* ok =
-                  parsed.ok && parsed.value.is_object() ? parsed.value.find("ok") : nullptr;
-              if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) {
+              const Result<serve::ResponseEnvelope> envelope = serve::decode_response(*response);
+              if (!envelope || !envelope->ok) {
                 return Error{ErrorCode::kIo, "register-model failed: " + *response};
               }
             }
@@ -422,10 +418,10 @@ int main(int argc, char** argv) {
           };
         }
         serve::RetryingClient client(
-            [&]() -> Result<serve::Client> {
+            [&]() -> Result<serve::Session> {
               return socket_path.empty()
-                         ? serve::Client::connect_tcp(host, port, session_options)
-                         : serve::Client::connect_unix(socket_path, session_options);
+                         ? serve::Session::connect_tcp(host, port, session_options)
+                         : serve::Session::connect_unix(socket_path, session_options);
             },
             policy);
         std::int64_t n = 0;
@@ -554,11 +550,12 @@ int main(int argc, char** argv) {
     std::int64_t memo_hits = 0;
     std::int64_t memo_misses = 0;
     if (registered) {
-      Result<serve::Client> probe = socket_path.empty()
-                                        ? serve::Client::connect_tcp(host, port)
-                                        : serve::Client::connect_unix(socket_path);
+      const serve::SessionOptions v1{.protocol = 1};
+      Result<serve::Session> probe = socket_path.empty()
+                                         ? serve::Session::connect_tcp(host, port, v1)
+                                         : serve::Session::connect_unix(socket_path, v1);
       if (probe) {
-        serve::Client prober = std::move(probe).value();
+        serve::Session prober = std::move(probe).value();
         const Result<std::string> response = prober.call("{\"verb\":\"stats\"}");
         if (response) {
           const util::JsonParse parsed = util::json_parse(*response);

@@ -72,7 +72,6 @@
 #include "mg/analysis.hpp"
 #include "mg/mcm.hpp"
 #include "mg/simulate.hpp"
-#include "serve/client.hpp"
 #include "serve/cluster.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -356,9 +355,10 @@ bool check_serve(std::uint64_t trial_seed) {
     options.workers = workers;
     serve::Server server(options);
     CHECK_OR_FAIL(server.start().ok(), "serve: server starts");
-    Result<serve::Client> connected = serve::Client::connect_unix(options.unix_socket);
+    Result<serve::Session> connected =
+        serve::Session::connect_unix(options.unix_socket, {.protocol = 1});
     CHECK_OR_FAIL(connected.ok(), "serve: client connects");
-    serve::Client client = std::move(connected).value();
+    serve::Session client = std::move(connected).value();
     for (std::size_t i = 0; i < lines.size(); ++i) {
       const Result<std::string> response = client.call(lines[i]);
       CHECK_OR_FAIL(response.ok(), "serve: response arrives");
@@ -620,7 +620,9 @@ bool check_lint(std::uint64_t trial_seed) {
 // back through a 3-worker lid_cluster front door equals the payload of a
 // single lid_serve and of direct in-process execution, byte for byte —
 // inline netlists and registered fingerprints alike — and the identity
-// survives stopping a worker mid-run (failover + model re-registration).
+// survives stopping a worker mid-run (failover + model re-registration) on
+// workers whose registries hold fewer models than the run registers, so
+// evicted models are re-registered too.
 bool check_cluster(std::uint64_t trial_seed) {
   util::Rng rng(trial_seed);
   std::vector<std::string> texts;
@@ -675,6 +677,7 @@ bool check_cluster(std::uint64_t trial_seed) {
   for (int i = 0; i < 3; ++i) {
     serve::ServerOptions options;
     options.unix_socket = stem + "_w" + std::to_string(i) + ".sock";
+    options.registry_max_models = 1;  // below the 3 models registered here
     workers.push_back(std::make_unique<serve::Server>(options));
     CHECK_OR_FAIL(workers.back()->start().ok(), "cluster: worker starts");
     serve::WorkerSpec spec;
@@ -693,13 +696,14 @@ bool check_cluster(std::uint64_t trial_seed) {
   serve::Server single(single_options);
   CHECK_OR_FAIL(single.start().ok(), "cluster: single server starts");
 
-  Result<serve::Client> front = serve::Client::connect_unix(cluster_options.unix_socket);
-  Result<serve::Client> side = serve::Client::connect_unix(single_options.unix_socket);
+  const serve::SessionOptions v1{.protocol = 1};
+  Result<serve::Session> front = serve::Session::connect_unix(cluster_options.unix_socket, v1);
+  Result<serve::Session> side = serve::Session::connect_unix(single_options.unix_socket, v1);
   CHECK_OR_FAIL(front.ok() && side.ok(), "cluster: clients connect");
-  serve::Client via_cluster = std::move(front).value();
-  serve::Client via_single = std::move(side).value();
+  serve::Session via_cluster = std::move(front).value();
+  serve::Session via_single = std::move(side).value();
 
-  const auto payload_of = [](serve::Client& client,
+  const auto payload_of = [](serve::Session& client,
                              const std::string& line) -> Result<std::string> {
     const Result<std::string> response = client.call(line);
     if (!response) return response.error();

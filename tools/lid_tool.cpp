@@ -67,7 +67,6 @@
 #include <set>
 #include <sstream>
 
-#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/retry.hpp"
 #include "util/json.hpp"
@@ -870,13 +869,12 @@ int cmd_client(const util::Cli& cli) {
   serve::SessionOptions session_options;
   session_options.binary = transport == "binary";
   session_options.protocol = (protocol >= 2 || session_options.binary) ? 2 : 1;
-  session_options.hello = session_options.protocol >= 2;
 
   serve::RetryingClient client(
-      [socket_path, host, port, session_options]() -> Result<serve::Client> {
+      [socket_path, host, port, session_options]() -> Result<serve::Session> {
         return socket_path.empty()
-                   ? serve::Client::connect_tcp(host, port, session_options)
-                   : serve::Client::connect_unix(socket_path, session_options);
+                   ? serve::Session::connect_tcp(host, port, session_options)
+                   : serve::Session::connect_unix(socket_path, session_options);
       },
       policy);
 
