@@ -23,9 +23,11 @@ void BM_EnumerateDoubledCycles(benchmark::State& state) {
   params.reconvergent = true;
   params.policy = gen::RsPolicy::kScc;
   const lis::Expansion ex = lis::expand_doubled(gen::generate(params, rng));
+  graph::CycleEnumOptions options;
+  options.max_cycles = 200000;
   std::size_t cycles = 0;
   for (auto _ : state) {
-    const auto result = graph::enumerate_cycles(ex.graph.structure(), {200000, nullptr});
+    const auto result = graph::enumerate_cycles(ex.graph.structure(), options);
     cycles = result.cycles.size();
     benchmark::DoNotOptimize(result);
   }

@@ -1,33 +1,33 @@
 #include "des/annotations.hpp"
 
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/split.hpp"
 
 namespace lid::des {
 
 namespace {
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::istringstream is(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (is >> token) tokens.push_back(token);
+std::vector<std::string_view> tokenize(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  util::Tokens split(line);
+  for (std::string_view token; split.next(token);) tokens.push_back(token);
   return tokens;
 }
 
-[[noreturn]] void bad_line(const std::string& line, const std::string& why) {
-  throw std::invalid_argument("bad DES annotation '" + line + "': " + why);
+[[noreturn]] void bad_line(std::string_view line, const std::string& why) {
+  throw std::invalid_argument("bad DES annotation '" + std::string(line) + "': " + why);
 }
 
 /// "key=value" -> value when the key matches, nullopt otherwise.
-std::optional<std::string> keyed(const std::string& token, const std::string& key) {
-  if (token.size() <= key.size() + 1 || token.compare(0, key.size(), key) != 0 ||
-      token[key.size()] != '=') {
+std::optional<std::string> keyed(std::string_view token, std::string_view key) {
+  if (token.size() <= key.size() + 1 || !token.starts_with(key) || token[key.size()] != '=') {
     return std::nullopt;
   }
-  return token.substr(key.size() + 1);
+  return std::string(token.substr(key.size() + 1));
 }
 
 }  // namespace
@@ -37,18 +37,17 @@ Profile parse_profile(const std::string& lis_text, const lis::LisGraph& lis) {
   profile.channel_latency.assign(lis.num_channels(), std::nullopt);
   profile.core_arrival.assign(lis.num_cores(), std::nullopt);
 
-  std::istringstream is(lis_text);
-  std::string line;
-  while (std::getline(is, line)) {
+  util::Lines lines(lis_text);
+  for (std::string_view line; lines.next(line);) {
     const std::size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos || line.compare(start, 2, "#!") != 0) continue;
-    const std::vector<std::string> tokens = tokenize(line.substr(start + 2));
+    if (start == std::string_view::npos || line.substr(start, 2) != "#!") continue;
+    const std::vector<std::string_view> tokens = tokenize(line.substr(start + 2));
     if (tokens.empty()) bad_line(line, "empty directive");
     if (tokens[0] == "channel") {
       if (tokens.size() != 3) bad_line(line, "expected '#! channel <index> latency=<spec>'");
       std::size_t index = 0;
       try {
-        index = std::stoul(tokens[1]);
+        index = std::stoul(std::string(tokens[1]));
       } catch (const std::exception&) {
         bad_line(line, "channel index is not a number");
       }
@@ -68,7 +67,9 @@ Profile parse_profile(const std::string& lis_text, const lis::LisGraph& lis) {
           break;
         }
       }
-      if (core == graph::kInvalidNode) bad_line(line, "unknown core '" + tokens[1] + "'");
+      if (core == graph::kInvalidNode) {
+        bad_line(line, "unknown core '" + std::string(tokens[1]) + "'");
+      }
       const auto spec = keyed(tokens[2], "arrival");
       if (!spec) bad_line(line, "expected arrival=<spec>");
       const auto arrival = parse_arrival_spec(*spec);
@@ -77,7 +78,7 @@ Profile parse_profile(const std::string& lis_text, const lis::LisGraph& lis) {
       if (slot) bad_line(line, "duplicate source assignment");
       slot = *arrival;
     } else {
-      bad_line(line, "unknown directive '" + tokens[0] + "'");
+      bad_line(line, "unknown directive '" + std::string(tokens[0]) + "'");
     }
   }
   return profile;

@@ -3,7 +3,6 @@
 #include <exception>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -18,6 +17,7 @@
 #include "lis/netlist_io.hpp"
 #include "mg/mcm.hpp"
 #include "soc/cofdm.hpp"
+#include "util/file.hpp"
 #include "util/rng.hpp"
 
 namespace lid {
@@ -217,12 +217,16 @@ Instance Instance::wrap(lis::ParsedNetlist parsed, std::string name) {
 // Loading, saving, generating.
 
 Result<Instance> load_netlist(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Error{ErrorCode::kIo, "cannot open '" + path + "' for reading"};
-  std::ostringstream text;
-  text << in.rdbuf();
-  if (in.bad()) return Error{ErrorCode::kIo, "read error on '" + path + "'"};
-  auto parsed = parse_netlist(text.str(), path);
+  std::string text;
+  switch (util::read_file(path, text)) {
+    case util::ReadStatus::kCannotOpen:
+      return Error{ErrorCode::kIo, "cannot open '" + path + "' for reading"};
+    case util::ReadStatus::kReadError:
+      return Error{ErrorCode::kIo, "read error on '" + path + "'"};
+    case util::ReadStatus::kOk:
+      break;
+  }
+  auto parsed = parse_netlist(text, path);
   if (!parsed.ok()) {
     return Error{parsed.error().code, path + ": " + parsed.error().message};
   }

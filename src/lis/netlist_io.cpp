@@ -1,11 +1,15 @@
 #include "lis/netlist_io.hpp"
 
+#include <climits>
+#include <cstdint>
+#include <functional>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
-#include "util/check.hpp"
+#include "util/file.hpp"
+#include "util/split.hpp"
 
 namespace lid::lis {
 namespace {
@@ -14,20 +18,81 @@ namespace {
   throw std::invalid_argument("netlist line " + std::to_string(line) + ": " + message);
 }
 
-/// Parses "key=value" where value must be a nonnegative integer.
-int parse_kv(const std::string& token, const std::string& key, std::size_t line) {
-  const std::string prefix = key + "=";
-  if (token.rfind(prefix, 0) != 0) fail(line, "expected " + key + "=<n>, got '" + token + "'");
-  const std::string value = token.substr(prefix.size());
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(value, &pos);
-    if (pos != value.size() || v < 0) throw std::invalid_argument("bad");
-    return v;
-  } catch (const std::exception&) {
-    fail(line, "bad integer in '" + token + "'");
+/// The value of a token that starts with `key` ("rs=", ...). The value must
+/// read as std::stoi reads a whole string (an optional sign, decimal digits,
+/// within int) and be nonnegative; "-0" is 0.
+int parse_kv(std::string_view token, std::string_view key, std::size_t line) {
+  std::string_view digits = token.substr(key.size());
+  const bool negative = digits.starts_with('-');
+  if (negative || digits.starts_with('+')) digits.remove_prefix(1);
+  std::int64_t value = 0;
+  bool ok = !digits.empty();
+  for (const char c : digits) {
+    if (c < '0' || c > '9' || (value = value * 10 + (c - '0')) > INT_MAX) {
+      ok = false;
+      break;
+    }
   }
+  if (!ok || (negative && value != 0)) {
+    fail(line, "bad integer in '" + std::string(token) + "'");
+  }
+  return static_cast<int>(value);
 }
+
+/// Core name -> id: open addressing with linear probing over views into the
+/// netlist text, which outlives the index.
+class NameIndex {
+ public:
+  /// The id of `name`, or graph::kInvalidNode.
+  [[nodiscard]] CoreId find(std::string_view name) const {
+    return slots_.empty() ? graph::kInvalidNode : slots_[probe(name, hash(name))].id;
+  }
+
+  /// Adds name -> id; false, and nothing added, when `name` is present.
+  bool insert(std::string_view name, CoreId id) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const std::size_t h = hash(name);
+    Slot& slot = slots_[probe(name, h)];
+    if (slot.id != graph::kInvalidNode) return false;
+    slot = Slot{name, tag(h), id};
+    ++size_;
+    return true;
+  }
+
+ private:
+  struct Slot {
+    std::string_view name;
+    std::uint32_t tag = 0;  // high hash bits, to skip most name compares
+    CoreId id = graph::kInvalidNode;
+  };
+
+  static std::size_t hash(std::string_view name) { return std::hash<std::string_view>{}(name); }
+  static std::uint32_t tag(std::size_t h) {
+    return static_cast<std::uint32_t>(static_cast<std::uint64_t>(h) >> 32);
+  }
+
+  /// The slot holding `name`, or the empty slot where it belongs.
+  [[nodiscard]] std::size_t probe(std::string_view name, std::size_t h) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = h & mask;
+    while (slots_[i].id != graph::kInvalidNode &&
+           (slots_[i].tag != tag(h) || slots_[i].name != name)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.id != graph::kInvalidNode) slots_[probe(slot.name, hash(slot.name))] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;  // a power of two in size, at most half full
+  std::size_t size_ = 0;
+};
 
 }  // namespace
 
@@ -58,79 +123,78 @@ ParsedNetlist from_text_with_provenance(const std::string& text, std::string fil
   ParsedNetlist out;
   out.provenance.file = std::move(file);
   LisGraph& lis = out.graph;
-  std::map<std::string, CoreId> cores;
+  NameIndex cores;
 
-  std::istringstream in(text);
-  std::string raw;
+  util::Lines lines(text);
   std::size_t line_no = 0;
-  while (std::getline(in, raw)) {
+  for (std::string_view raw; lines.next(raw);) {
     ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream line(raw);
-    std::string directive;
-    if (!(line >> directive)) continue;  // blank line
+    util::Tokens line(raw.substr(0, raw.find('#')));
+    std::string_view directive;
+    if (!line.next(directive)) continue;  // blank line
 
     if (directive == "core") {
-      std::string name;
-      if (!(line >> name)) fail(line_no, "core needs a name");
+      std::string_view name;
+      if (!line.next(name)) fail(line_no, "core needs a name");
       int latency = 1;
-      std::string token;
-      while (line >> token) {
-        if (token.rfind("latency=", 0) == 0) {
-          latency = parse_kv(token, "latency", line_no);
-          if (latency < 1) fail(line_no, "latency must be at least 1");
-        } else {
-          fail(line_no, "unknown core attribute '" + token + "'");
+      for (std::string_view token; line.next(token);) {
+        if (!token.starts_with("latency=")) {
+          fail(line_no, "unknown core attribute '" + std::string(token) + "'");
         }
+        latency = parse_kv(token, "latency=", line_no);
+        if (latency < 1) fail(line_no, "latency must be at least 1");
       }
-      const auto [it, inserted] = cores.emplace(name, CoreId{});
-      if (!inserted) fail(line_no, "duplicate core '" + name + "'");
-      it->second = lis.add_core(name);
-      lis.set_core_latency(it->second, latency);
+      const auto id = static_cast<CoreId>(lis.num_cores());
+      if (!cores.insert(name, id)) fail(line_no, "duplicate core '" + std::string(name) + "'");
+      lis.add_core(std::string(name));
+      lis.set_core_latency(id, latency);
       out.provenance.core_line.push_back(static_cast<int>(line_no));
       continue;
     }
     if (directive == "channel") {
-      std::string src;
-      std::string arrow;
-      std::string dst;
-      if (!(line >> src >> arrow >> dst) || arrow != "->") {
+      std::string_view src;
+      std::string_view arrow;
+      std::string_view dst;
+      if (!line.next(src) || !line.next(arrow) || !line.next(dst) || arrow != "->") {
         fail(line_no, "expected: channel <src> -> <dst> [rs=N] [q=N]");
       }
-      const auto src_it = cores.find(src);
-      if (src_it == cores.end()) fail(line_no, "unknown core '" + src + "'");
-      const auto dst_it = cores.find(dst);
-      if (dst_it == cores.end()) fail(line_no, "unknown core '" + dst + "'");
+      const CoreId src_id = cores.find(src);
+      if (src_id == graph::kInvalidNode) fail(line_no, "unknown core '" + std::string(src) + "'");
+      const CoreId dst_id = cores.find(dst);
+      if (dst_id == graph::kInvalidNode) fail(line_no, "unknown core '" + std::string(dst) + "'");
       int rs = 0;
       int q = 1;
-      std::string token;
-      while (line >> token) {
-        if (token.rfind("rs=", 0) == 0) {
-          rs = parse_kv(token, "rs", line_no);
-        } else if (token.rfind("q=", 0) == 0) {
+      for (std::string_view token; line.next(token);) {
+        if (token.starts_with("rs=")) {
+          rs = parse_kv(token, "rs=", line_no);
+        } else if (token.starts_with("q=")) {
           // q = 0 parses: it is a semantic defect (lint L002/L001), not a
           // syntax error, so static diagnostics can point at this line.
-          q = parse_kv(token, "q", line_no);
+          q = parse_kv(token, "q=", line_no);
         } else {
-          fail(line_no, "unknown channel attribute '" + token + "'");
+          fail(line_no, "unknown channel attribute '" + std::string(token) + "'");
         }
       }
-      lis.add_channel(src_it->second, dst_it->second, rs, q);
+      lis.add_channel(src_id, dst_id, rs, q);
       out.provenance.channel_line.push_back(static_cast<int>(line_no));
       continue;
     }
-    fail(line_no, "unknown directive '" + directive + "'");
+    fail(line_no, "unknown directive '" + std::string(directive) + "'");
   }
   return out;
 }
 
 LisGraph load_netlist(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open netlist file: " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return from_text(buffer.str());
+  std::string text;
+  switch (util::read_file(path, text)) {
+    case util::ReadStatus::kCannotOpen:
+      throw std::runtime_error("cannot open netlist file: " + path);
+    case util::ReadStatus::kReadError:
+      throw std::runtime_error("read error on netlist file: " + path);
+    case util::ReadStatus::kOk:
+      break;
+  }
+  return from_text(text);
 }
 
 void save_netlist(const LisGraph& lis, const std::string& path) {

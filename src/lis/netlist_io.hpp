@@ -24,7 +24,9 @@ namespace lid::lis {
 /// Serializes a netlist to the text format (stable, round-trip safe).
 std::string to_text(const LisGraph& lis);
 
-/// Parses the text format. Throws std::invalid_argument with the offending
+/// Parses the text format in one pass over `text`, splitting lines and
+/// tokens as std::getline and `istream >>` do in the C locale (the rules are
+/// in docs/file-format.md). Throws std::invalid_argument with the offending
 /// line number on malformed input (unknown directive, duplicate core name,
 /// unknown core in a channel, bad rs/q value). A queue capacity of zero is
 /// accepted — it is a *semantic* defect (every correct LIS has q >= 1) that

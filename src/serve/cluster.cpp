@@ -26,10 +26,22 @@ void sleep_ms(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-/// A plain v1 upstream session: forwarded lines carry everything, so the
-/// router sends no `hello` and reads responses exactly as workers wrote them.
+/// A plain v1 upstream session: the router sends no `hello` and reads
+/// responses as workers wrote them; with_protocol adds the one v2 field.
 SessionOptions upstream_options(double connect_timeout_ms, double timeout_ms) {
   return {.protocol = 1, .timeout_ms = timeout_ms, .connect_timeout_ms = connect_timeout_ms};
+}
+
+/// A worker's response as a single server writes it on a `protocol`
+/// connection: workers are spoken to in protocol 1, so for v2 the field
+/// `"protocol":2` goes in after the id, where response_line puts it.
+std::string with_protocol(std::string line, const std::string& id_json, int protocol) {
+  if (protocol < 2) return line;
+  const std::string head = "{\"id\":" + id_json;
+  if (line.compare(0, head.size(), head) == 0) {
+    line.insert(head.size(), ",\"protocol\":" + std::to_string(protocol));
+  }
+  return line;
 }
 
 /// The `verb` of a request that parse_request refused ("" when there is
@@ -554,7 +566,8 @@ std::string Cluster::forward(Backends& backends, const Message& message, const s
                              int protocol) {
   // Route by the model fingerprint, else by the netlist bytes, else round
   // robin (also for a request that did not parse: any worker phrases its
-  // error the same way).
+  // error the same way, with a null id).
+  const std::string id_json = message.request ? request_id_json(*message.request) : "null";
   std::string fingerprint;
   std::string key;
   std::string canonical_fingerprint;
@@ -616,12 +629,11 @@ std::string Cluster::forward(Backends& backends, const Message& message, const s
       model_texts_.erase(fingerprint);
     }
     completed_.fetch_add(1);
-    return std::move(reply->line);
+    return with_protocol(std::move(reply->line), id_json, protocol);
   }
 
   failed_.fetch_add(1);
-  return error_line(message.request ? request_id_json(*message.request) : "null", verb,
-                    codes::kUpstreamUnavailable,
+  return error_line(id_json, verb, codes::kUpstreamUnavailable,
                     "no worker could serve the request (" + std::to_string(hops) + " of " +
                         std::to_string(workers_.size()) + " workers tried)",
                     protocol);

@@ -1,0 +1,56 @@
+// Line and token splitting over one text buffer, without copies.
+//
+// The netlist reader (lis/netlist_io) and the `#!` annotation reader
+// (des/annotations) read text the way std::getline and `istream >>` read it
+// in the C locale. These splitters do the same over string_views into the
+// caller's buffer, so no line or token is copied.
+#pragma once
+
+#include <string_view>
+
+namespace lid::util {
+
+/// The bytes `istream >>` skips in the C locale: space, \t, \n, \v, \f, \r.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// The lines of a text as std::getline yields them: split on '\n', the
+/// newline dropped, and no empty line after a final '\n'.
+class Lines {
+ public:
+  explicit Lines(std::string_view text) : rest_(text) {}
+
+  /// Sets `line` to the next line; false when the text is used up.
+  bool next(std::string_view& line) {
+    if (rest_.empty()) return false;
+    const std::size_t end = rest_.find('\n');
+    line = rest_.substr(0, end);
+    rest_.remove_prefix(end == std::string_view::npos ? rest_.size() : end + 1);
+    return true;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+/// The whitespace-separated tokens of a line as `istream >>` yields them.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+
+  /// Sets `token` to the next token; false when only whitespace is left.
+  bool next(std::string_view& token) {
+    std::size_t begin = 0;
+    while (begin < rest_.size() && is_space(rest_[begin])) ++begin;
+    if (begin == rest_.size()) return false;
+    std::size_t end = begin + 1;
+    while (end < rest_.size() && !is_space(rest_[end])) ++end;
+    token = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
+    return true;
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+}  // namespace lid::util

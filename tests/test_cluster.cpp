@@ -218,6 +218,54 @@ TEST(Cluster, PayloadsByteIdenticalToSingleServerAndDirect) {
   single.stop();
 }
 
+/// A response without its timing fields, which differ from run to run.
+std::string envelope_of(const std::string& response) {
+  const std::size_t timing = response.rfind(",\"server_ms\":");
+  return timing == std::string::npos ? response : response.substr(0, timing) + "}";
+}
+
+TEST(Cluster, EnvelopesMatchASingleServerOnBothProtocols) {
+  LiveCluster live(2);
+  serve::ServerOptions single_options;
+  single_options.unix_socket = unique_path("lid-cluster-single");
+  serve::Server single(single_options);
+  ASSERT_TRUE(single.start().ok());
+
+  const std::vector<std::string> lines = {
+      R"({"verb":"ping"})",
+      R"({"id":"p-1","verb":"ping"})",
+      netlist_request("analyze", kNetlist),
+      R"({"id":"a\"1","verb":"analyze","netlist":"core A\nchannel A -> A\n"})",
+      R"({"id":"r-1","verb":"register-model",)"
+      R"("netlist":"core A\ncore B\nchannel A -> B\nchannel B -> A q=2\n"})",
+      R"({"id":"bad","verb":"analyze","netlist":"core A\nchannel A -> Z\n"})",
+      R"({"verb":42})",
+  };
+  for (const int protocol : {1, 2}) {
+    for (const bool binary : {false, true}) {
+      if (binary && protocol < 2) continue;
+      const serve::SessionOptions options{.protocol = protocol, .binary = binary};
+      Result<serve::Session> cluster_connected =
+          serve::Session::connect_unix(live.cluster_options.unix_socket, options);
+      Result<serve::Session> single_connected =
+          serve::Session::connect_unix(single_options.unix_socket, options);
+      ASSERT_TRUE(cluster_connected.ok() && single_connected.ok());
+      serve::Session via_cluster = std::move(cluster_connected).value();
+      serve::Session via_single = std::move(single_connected).value();
+      for (const std::string& line : lines) {
+        const Result<std::string> from_cluster = via_cluster.call(line);
+        const Result<std::string> from_single = via_single.call(line);
+        ASSERT_TRUE(from_cluster.ok() && from_single.ok()) << line;
+        EXPECT_EQ(envelope_of(*from_cluster), envelope_of(*from_single))
+            << "protocol " << protocol << (binary ? " binary" : "") << ": " << line;
+        EXPECT_EQ(from_cluster->find("\"protocol\":2,") != std::string::npos, protocol == 2)
+            << *from_cluster;
+      }
+    }
+  }
+  single.stop();
+}
+
 TEST(Cluster, DrainedHotModelReRegistersByteIdentically) {
   LiveCluster live(3);
   serve::Session client = live.connect();

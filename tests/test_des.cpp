@@ -323,6 +323,39 @@ TEST(DesAnnotations, MalformedAnnotationsThrow) {
   }
 }
 
+TEST(DesAnnotations, CrlfAndTabSeparatedAnnotationsParse) {
+  const lis::LisGraph system = lis::from_text(kChain);
+  des::Profile expected;
+  expected.channel_latency = {des::LatencyDist::uniform(1, 4)};
+  expected.core_arrival = {des::ArrivalSpec::periodic(3), std::nullopt};
+  // Tabs separate tokens and may lead the line; only spaces and tabs may
+  // precede `#!`, so the \v and \r lines are plain comments.
+  const std::string tabs = std::string(kChain) +
+                           "\t#!\tchannel\t0\tlatency=uniform:1:4\n"
+                           "#! source\tA \tarrival=rate:3\n"
+                           "\v#! bogus\n"
+                           "\r#! bogus\n";
+  EXPECT_EQ(des::parse_profile(tabs, system), expected);
+  std::string crlf;
+  for (const char c : tabs) crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+  EXPECT_EQ(des::parse_profile(crlf, system), expected);
+  EXPECT_EQ(lis::to_text(lis::from_text(crlf)), lis::to_text(system));
+}
+
+TEST(DesAnnotations, ErrorsQuoteTheLineAsRead) {
+  // A line runs up to '\n', so on a CRLF line the quoted text keeps its
+  // '\r' and its tabs.
+  const lis::LisGraph system = lis::from_text(kChain);
+  try {
+    des::parse_profile(std::string(kChain) + "\t#! channel\t9 latency=fixed:2\r\n", system);
+    FAIL() << "an out-of-range channel must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "bad DES annotation '\t#! channel\t9 latency=fixed:2\r': "
+                 "channel index out of range");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // serve `simulate` verb
 // ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ TEST(NetlistIo, FileRoundTrip) {
   EXPECT_EQ(practical_mst(loaded), practical_mst(original));
   std::remove(path.c_str());
   EXPECT_THROW(load_netlist("/nonexistent/path.lis"), std::runtime_error);
+  EXPECT_THROW(load_netlist(::testing::TempDir()), std::runtime_error);  // a directory
 }
 
 class NetlistRoundTripProperty : public ::testing::TestWithParam<std::uint64_t> {};

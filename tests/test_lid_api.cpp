@@ -71,6 +71,14 @@ TEST(Netlist, LoadMissingFileIsIoError) {
   EXPECT_EQ(missing.error().code, ErrorCode::kIo);
 }
 
+TEST(Netlist, LoadDirectoryIsReadError) {
+  // A directory opens but cannot be read: an I/O error, not an empty netlist.
+  const Result<Instance> directory = load_netlist(::testing::TempDir());
+  ASSERT_FALSE(directory.ok());
+  EXPECT_EQ(directory.error().code, ErrorCode::kIo);
+  EXPECT_EQ(directory.error().message, "read error on '" + ::testing::TempDir() + "'");
+}
+
 TEST(Netlist, ParseErrorsCarryParseCode) {
   const Result<Instance> bad = parse_netlist("core A\nchannel A -> Missing\n");
   ASSERT_FALSE(bad.ok());
