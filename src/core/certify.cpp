@@ -57,7 +57,9 @@ verify::Certificate certify_sizing(const lis::LisGraph& original, const QsReport
   verify::Certificate cert;
   cert.kind = verify::Kind::kSizing;
   cert.fingerprint = verify::fingerprint(original);
-  cert.ideal = witness_for(mg::mcm_evidence(lis::expand_ideal(original).graph));
+  cert.ideal = witness_for(report.ideal_evidence
+                               ? *report.ideal_evidence
+                               : mg::mcm_evidence(lis::expand_ideal(original).graph));
   cert.target = report.problem.theta_target;
 
   // The applied sizing, diffed channel by channel: valid for whichever
@@ -79,22 +81,8 @@ verify::Certificate certify_sizing(const lis::LisGraph& original, const QsReport
   // d[G] the checker re-expands. A fallback or collapse leaves the section
   // out (constraint_count stays -1).
   if (report.lazy.has_value() && !report.lazy->fell_back && !report.problem.scc_collapsed) {
-    cert.constraint_count = static_cast<std::int64_t>(report.lazy_cycles.size());
-    const lis::Expansion pristine = lis::expand_doubled(original);
-    for (const std::vector<mg::PlaceId>& cycle : report.lazy_cycles) {
-      verify::DeficitConstraint dc;
-      std::int64_t tokens = 0;
-      dc.cycle.reserve(cycle.size());
-      for (const mg::PlaceId p : cycle) {
-        dc.cycle.push_back(static_cast<std::int64_t>(p));
-        tokens += pristine.graph.tokens(p);
-        const lis::ChannelId ch = pristine.place_channel[static_cast<std::size_t>(p)];
-        if (pristine.queue_place(ch) == p) dc.channels.push_back(static_cast<std::int64_t>(ch));
-      }
-      dc.deficit =
-          cycle_deficit(tokens, static_cast<std::int64_t>(cycle.size()), cert.target);
-      cert.constraints.push_back(std::move(dc));
-    }
+    cert.constraint_count = static_cast<std::int64_t>(report.lazy_constraints.size());
+    cert.constraints = report.lazy_constraints;
   }
 
   cert.achieved = witness_for(mg::mcm_evidence(lis::expand_doubled(report.sized).graph));

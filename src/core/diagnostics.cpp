@@ -61,7 +61,8 @@ DegradationReport explain_practical(const lis::LisGraph& lis, const lis::Expansi
     std::ostringstream os;
     os << g.transition_name(g.producer(p)) << (hop.backward ? " ~> " : " -> ")
        << g.transition_name(g.consumer(p));
-    if (hop.backward && p == doubled.queue_place(hop.channel)) {
+    if (hop.backward && hop.channel != graph::kInvalidEdge &&
+        p == doubled.queue_place(hop.channel)) {
       os << " (queue backedge, capacity " << lis.channel(hop.channel).queue_capacity << ")";
     }
     hop.description = os.str();

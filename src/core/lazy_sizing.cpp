@@ -38,10 +38,14 @@ QsReport run_fallback(const LisGraph& lis, const Rational& theta_ideal,
 
 }  // namespace
 
-QsReport size_queues_lazy(const LisGraph& lis, const QsOptions& options,
-                          mg::Workspace* workspace) {
-  return size_queues_lazy_with_mst(lis, lis::ideal_mst(lis), lis::practical_mst(lis), options,
-                                   workspace);
+QsReport size_queues_lazy(const LisGraph& lis, const QsOptions& options, mg::Workspace* workspace,
+                          const std::optional<Rational>& theta_practical) {
+  mg::McmEvidence ideal = mg::mcm_evidence(lis::expand_ideal(lis).graph);
+  QsReport report = size_queues_lazy_with_mst(
+      lis, mg::mst(ideal), theta_practical ? *theta_practical : lis::practical_mst(lis), options,
+      workspace);
+  report.ideal_evidence = std::move(ideal);
+  return report;
 }
 
 QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_ideal,
@@ -156,8 +160,19 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
     }
     ++stats.cycles_generated;
     // Without the SCC collapse, `target` IS `lis`, so the cycle's place ids
-    // are valid in the pristine d[G] — record it as certificate evidence.
-    if (!build_target.collapsed_used) report.lazy_cycles.push_back(critical.cycle);
+    // are valid in the pristine d[G]: record the constraint as the sizing
+    // certificate states it (queue channels in cycle order).
+    if (!build_target.collapsed_used) {
+      verify::DeficitConstraint dc;
+      dc.deficit = deficit;
+      dc.cycle.reserve(critical.cycle.size());
+      for (const mg::PlaceId p : critical.cycle) {
+        dc.cycle.push_back(static_cast<std::int64_t>(p));
+        const auto it = queue_place_of.find(p);
+        if (it != queue_place_of.end()) dc.channels.push_back(it->second);
+      }
+      report.lazy_constraints.push_back(std::move(dc));
+    }
 
     // Re-solve on the paper's simplified sub-instance: the reductions commit
     // the forced tokens, and the heuristic seeds the LP branch and bound's

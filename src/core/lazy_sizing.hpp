@@ -36,6 +36,8 @@
 // bounded full pipeline (QsMethod::kBoth) and reports it in LazyStats.
 #pragma once
 
+#include <optional>
+
 #include "core/queue_sizing.hpp"
 #include "mg/mcm.hpp"
 
@@ -46,9 +48,12 @@ namespace lid::core {
 /// fallback, `options.build` supplies target/cancel/collapse knobs, and
 /// `options.simplify` applies only to the fallback pipeline. `workspace`
 /// optionally shares a Howard workspace across calls (engine pooling); null
-/// uses a solve-local one.
+/// uses a solve-local one. θ(G) comes from one evidence pass on G, which the
+/// report carries (QsReport::ideal_evidence) for the certificate;
+/// `theta_practical`, when given, is θ(d[G]) as the caller already solved it.
 QsReport size_queues_lazy(const lis::LisGraph& lis, const QsOptions& options = {},
-                          mg::Workspace* workspace = nullptr);
+                          mg::Workspace* workspace = nullptr,
+                          const std::optional<util::Rational>& theta_practical = std::nullopt);
 
 /// Like size_queues_lazy, but reuses already-computed θ(G) and θ(d[G]) (e.g.
 /// from an engine::AnalysisCache). The thetas must be those of `lis` itself.

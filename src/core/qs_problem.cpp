@@ -15,9 +15,8 @@ using lis::LisGraph;
 using util::Rational;
 
 /// The SCC-collapsed LIS plus the map back to original channels, written
-/// into a QsBuildTarget.
-void collapse_sccs(const LisGraph& lis, QsBuildTarget& out) {
-  const graph::SccPartition part = graph::scc(lis.structure());
+/// into a QsBuildTarget (`part` is the SCC partition of lis.structure()).
+void collapse_sccs(const LisGraph& lis, const graph::SccPartition& part, QsBuildTarget& out) {
   for (int c = 0; c < part.count; ++c) {
     out.collapsed.add_core("scc" + std::to_string(c));
   }
@@ -44,13 +43,23 @@ bool all_cores_unit_latency(const LisGraph& lis) {
 
 /// True when all intra-SCC channels have unit queues (required for the
 /// collapse to preserve deficits exactly; see header).
-bool intra_scc_queues_are_unit(const LisGraph& lis) {
-  const graph::SccPartition part = graph::scc(lis.structure());
+bool intra_scc_queues_are_unit(const LisGraph& lis, const graph::SccPartition& part) {
   for (ChannelId ch = 0; ch < static_cast<ChannelId>(lis.num_channels()); ++ch) {
     const lis::Channel& channel = lis.channel(ch);
     const int cs = part.comp_of[static_cast<std::size_t>(channel.src)];
     const int cd = part.comp_of[static_cast<std::size_t>(channel.dst)];
     if (cs == cd && channel.queue_capacity != 1) return false;
+  }
+  return true;
+}
+
+bool relay_stations_only_between(const LisGraph& lis, const graph::SccPartition& part) {
+  for (ChannelId ch = 0; ch < static_cast<ChannelId>(lis.num_channels()); ++ch) {
+    const lis::Channel& channel = lis.channel(ch);
+    if (channel.relay_stations == 0) continue;
+    const int cs = part.comp_of[static_cast<std::size_t>(channel.src)];
+    const int cd = part.comp_of[static_cast<std::size_t>(channel.dst)];
+    if (cs == cd) return false;
   }
   return true;
 }
@@ -67,9 +76,10 @@ QsBuildTarget select_build_target(const LisGraph& lis, const QsBuildOptions& opt
   QsBuildTarget target;
   // Simplification 4: collapse SCCs when relay stations sit only between
   // them (and intra-SCC queues are unit, so deficits are preserved exactly).
-  if (options.allow_scc_collapse && all_cores_unit_latency(lis) &&
-      relay_stations_only_between_sccs(lis) && intra_scc_queues_are_unit(lis)) {
-    collapse_sccs(lis, target);
+  if (!options.allow_scc_collapse || !all_cores_unit_latency(lis)) return target;
+  const graph::SccPartition part = graph::scc(lis.structure());
+  if (relay_stations_only_between(lis, part) && intra_scc_queues_are_unit(lis, part)) {
+    collapse_sccs(lis, part, target);
     if (target.collapsed.num_cores() < lis.num_cores()) {
       target.collapsed_used = true;
     } else {
@@ -81,15 +91,7 @@ QsBuildTarget select_build_target(const LisGraph& lis, const QsBuildOptions& opt
 }
 
 bool relay_stations_only_between_sccs(const LisGraph& lis) {
-  const graph::SccPartition part = graph::scc(lis.structure());
-  for (ChannelId ch = 0; ch < static_cast<ChannelId>(lis.num_channels()); ++ch) {
-    const lis::Channel& channel = lis.channel(ch);
-    if (channel.relay_stations == 0) continue;
-    const int cs = part.comp_of[static_cast<std::size_t>(channel.src)];
-    const int cd = part.comp_of[static_cast<std::size_t>(channel.dst)];
-    if (cs == cd) return false;
-  }
-  return true;
+  return relay_stations_only_between(lis, graph::scc(lis.structure()));
 }
 
 QsProblem build_qs_problem(const LisGraph& lis, const QsBuildOptions& options) {

@@ -14,9 +14,17 @@ std::int64_t total_of(const std::vector<std::int64_t>& weights) {
 
 }  // namespace
 
-QsReport size_queues(const lis::LisGraph& lis, const QsOptions& options) {
-  if (options.method == QsMethod::kLazy) return size_queues_lazy(lis, options);
-  return size_queues_on_problem(lis, build_qs_problem(lis, options.build), options);
+QsReport size_queues(const lis::LisGraph& lis, const QsOptions& options,
+                     const std::optional<util::Rational>& theta_practical) {
+  if (options.method == QsMethod::kLazy) {
+    return size_queues_lazy(lis, options, nullptr, theta_practical);
+  }
+  return size_queues_on_problem(
+      lis,
+      build_qs_problem_with_mst(lis, lis::ideal_mst(lis),
+                                theta_practical ? *theta_practical : lis::practical_mst(lis),
+                                options.build),
+      options);
 }
 
 QsReport size_queues_on_problem(const lis::LisGraph& lis, const QsProblem& problem,

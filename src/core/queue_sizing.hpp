@@ -18,6 +18,8 @@
 #include "core/qs_problem.hpp"
 #include "core/token_deficit.hpp"
 #include "lis/lis_graph.hpp"
+#include "mg/mcm.hpp"
+#include "verify/certificate.hpp"
 
 namespace lid::core {
 
@@ -91,17 +93,26 @@ struct QsReport {
   /// Present when the lazy solver ran (method kLazy), including when it fell
   /// back to full enumeration.
   std::optional<LazyStats> lazy;
-  /// The lazy solver's generating critical cycles, as place ids of the
-  /// *pristine* (unsized, uncollapsed) d[G]. Filled only when the lazy solve
-  /// converged without the SCC-collapse fast path — exactly the runs whose
-  /// constraint set can be embedded in a sizing certificate
-  /// (core::certify_sizing). One entry per generated constraint, in
-  /// generation order (matches problem.td.deficits when not simplified).
-  std::vector<std::vector<mg::PlaceId>> lazy_cycles;
+  /// The lazy solver's generated constraints as a sizing certificate states
+  /// them: each critical cycle's place ids in the *pristine* (unsized,
+  /// uncollapsed) d[G], its queue channels in cycle order and its deficit
+  /// against problem.theta_target. Filled only when the lazy solve ran
+  /// without the SCC-collapse fast path — exactly the runs whose constraint
+  /// set core::certify_sizing embeds. One entry per generated constraint, in
+  /// generation order (matches problem.td.deficits).
+  std::vector<verify::DeficitConstraint> lazy_constraints;
+  /// The evidence pass on G that θ(G) was read from, when the solver ran one
+  /// (size_queues_lazy does; engine::size_queues_cached copies in its
+  /// cache's). core::certify_sizing's ideal witness reads it instead of
+  /// solving G again.
+  std::optional<mg::McmEvidence> ideal_evidence;
 };
 
-/// Runs the queue-sizing pipeline on `lis`.
-QsReport size_queues(const lis::LisGraph& lis, const QsOptions& options = {});
+/// Runs the queue-sizing pipeline on `lis`. `theta_practical`, when given,
+/// is θ(d[G]) of `lis` as the caller already solved it (the facade takes it
+/// from its pre-flight's d[G]); otherwise it is solved here.
+QsReport size_queues(const lis::LisGraph& lis, const QsOptions& options = {},
+                     const std::optional<util::Rational>& theta_practical = std::nullopt);
 
 /// Like size_queues, but starts from an already-built problem so batch
 /// drivers (engine::AnalysisCache) can share one cycle enumeration between

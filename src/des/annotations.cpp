@@ -1,5 +1,6 @@
 #include "des/annotations.hpp"
 
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -45,12 +46,11 @@ Profile parse_profile(const std::string& lis_text, const lis::LisGraph& lis) {
     if (tokens.empty()) bad_line(line, "empty directive");
     if (tokens[0] == "channel") {
       if (tokens.size() != 3) bad_line(line, "expected '#! channel <index> latency=<spec>'");
-      std::size_t index = 0;
-      try {
-        index = std::stoul(std::string(tokens[1]));
-      } catch (const std::exception&) {
-        bad_line(line, "channel index is not a number");
-      }
+      // The index is a netlist integer (docs/file-format.md): "1x" or "1e3"
+      // is not a number, "-1" is not a channel.
+      const std::optional<int> parsed = util::parse_netlist_int(tokens[1]);
+      if (!parsed) bad_line(line, "channel index is not a number");
+      const auto index = static_cast<std::size_t>(*parsed);
       if (index >= lis.num_channels()) bad_line(line, "channel index out of range");
       const auto spec = keyed(tokens[2], "latency");
       if (!spec) bad_line(line, "expected latency=<spec>");

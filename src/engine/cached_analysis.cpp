@@ -45,12 +45,14 @@ Result<Sizing> size_queues_cached(AnalysisCache& cache, const Instance& instance
       // in the shared cache, so cancellable requests run the plain pipeline.
       report = core::size_queues(lis, qs);
     } else if (qs.method == core::QsMethod::kLazy) {
-      // Cached thetas, but a solve-local Howard workspace: the lazy payload
-      // reports iteration/cycle counts, and a pooled warm-started workspace
-      // could pick a different (tie-equivalent) critical cycle than the cold
-      // solve a direct execution runs — the values must stay byte-identical.
+      // Cached evidence and thetas, but a solve-local Howard workspace: the
+      // lazy payload reports iteration/cycle counts, and a pooled
+      // warm-started workspace could pick a different (tie-equivalent)
+      // critical cycle than the cold solve a direct execution runs — the
+      // values must stay byte-identical.
       report = core::size_queues_lazy_with_mst(lis, cache.theta_ideal(),
                                                cache.theta_practical(), qs, nullptr);
+      report.ideal_evidence = cache.ideal().evidence;
     } else {
       report = core::size_queues_on_problem(lis, cache.qs_problem(qs.build), qs);
     }

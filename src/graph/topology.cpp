@@ -132,6 +132,28 @@ bool bcc_is_directed_cycle(const Digraph& g, const std::vector<EdgeId>& comp) {
   return true;
 }
 
+/// True when every biconnected component is a single edge (a bridge).
+bool all_bridges(const BccResult& bcc) {
+  return std::all_of(bcc.components.begin(), bcc.components.end(),
+                     [](const std::vector<EdgeId>& comp) { return comp.size() == 1; });
+}
+
+/// True when some non-bridge biconnected component is not a directed cycle.
+bool reconvergent(const Digraph& g, const BccResult& bcc) {
+  for (const auto& comp : bcc.components) {
+    if (comp.size() == 1) continue;  // bridge
+    if (!bcc_is_directed_cycle(g, comp)) return true;
+  }
+  return false;
+}
+
+bool has_self_loop(const Digraph& g) {
+  for (EdgeId e = 0; e < static_cast<EdgeId>(g.num_edges()); ++e) {
+    if (g.edge(e).src == g.edge(e).dst) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 const char* to_string(TopologyClass c) {
@@ -149,21 +171,12 @@ const char* to_string(TopologyClass c) {
 }
 
 bool is_underlying_forest(const Digraph& g) {
-  for (EdgeId e = 0; e < static_cast<EdgeId>(g.num_edges()); ++e) {
-    if (g.edge(e).src == g.edge(e).dst) return false;  // self-loop is a cycle
-  }
-  const BccResult bcc = biconnected_components(g);
-  return std::all_of(bcc.components.begin(), bcc.components.end(),
-                     [](const std::vector<EdgeId>& comp) { return comp.size() == 1; });
+  // A self-loop is a cycle.
+  return !has_self_loop(g) && all_bridges(biconnected_components(g));
 }
 
 bool has_reconvergent_paths(const Digraph& g) {
-  const BccResult bcc = biconnected_components(g);
-  for (const auto& comp : bcc.components) {
-    if (comp.size() == 1) continue;  // bridge
-    if (!bcc_is_directed_cycle(g, comp)) return true;
-  }
-  return false;
+  return reconvergent(g, biconnected_components(g));
 }
 
 bool scc_is_cactus(const Digraph& g, const std::vector<NodeId>& members) {
@@ -186,8 +199,11 @@ bool scc_is_cactus(const Digraph& g, const std::vector<NodeId>& members) {
 }
 
 TopologyClass classify(const Digraph& g) {
-  if (is_underlying_forest(g)) return TopologyClass::kTree;
-  if (has_reconvergent_paths(g)) return TopologyClass::kGeneral;
+  // One decomposition serves both tests (is_underlying_forest and
+  // has_reconvergent_paths).
+  const BccResult bcc = biconnected_components(g);
+  if (!has_self_loop(g) && all_bridges(bcc)) return TopologyClass::kTree;
+  if (reconvergent(g, bcc)) return TopologyClass::kGeneral;
   // Every undirected cycle is a directed cycle: cactus SCCs connected by a
   // forest of inter-SCC edges.
   return is_strongly_connected(g) ? TopologyClass::kCactusScc

@@ -320,12 +320,18 @@ Result<linter::Report> lint(const Instance& instance, const linter::LintOptions&
 
 Result<Sizing> size_queues(const Instance& instance, const SizeQueuesOptions& options) {
   if (!instance.valid()) return invalid_handle("size_queues");
-  if (options.preflight) {
-    if (auto rejected = detail::lint_preflight("size_queues", instance.graph())) return *rejected;
-  }
   return guarded<Sizing>(ErrorCode::kInvalidArgument, [&]() -> Result<Sizing> {
     const lis::LisGraph& lis = instance.graph();
-    const core::QsReport report = core::size_queues(lis, detail::qs_options_from(options));
+    // The pre-flight's d[G] also gives θ(d[G]), as in analyze; it is
+    // dropped before the sizer builds its own graphs.
+    std::optional<util::Rational> theta_practical;
+    if (options.preflight) {
+      const lis::Expansion doubled = lis::expand_doubled(lis);
+      if (auto rejected = detail::lint_preflight("size_queues", lis, doubled)) return *rejected;
+      theta_practical = mg::mst(doubled.graph);
+    }
+    const core::QsReport report =
+        core::size_queues(lis, detail::qs_options_from(options), theta_practical);
     return detail::sizing_from_report(lis, report, instance, options);
   });
 }

@@ -1,8 +1,8 @@
 #include "lint/checks.hpp"
 
 #include <algorithm>
+#include <compare>
 #include <map>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -124,12 +124,33 @@ void check_isolated_cores(const lis::LisGraph& lis, Report& report) {
 // --- L102: duplicate channels ----------------------------------------------
 
 void check_duplicate_channels(const lis::LisGraph& lis, Report& report) {
-  std::map<std::tuple<lis::CoreId, lis::CoreId, int, int>, lis::ChannelId> seen;
+  // Sorted by (src, dst, rs, q, id), every channel after the first of its
+  // (src, dst, rs, q) group duplicates an earlier one.
+  struct Key {
+    lis::CoreId src;
+    lis::CoreId dst;
+    int rs;
+    int q;
+    lis::ChannelId id;
+    auto operator<=>(const Key&) const = default;
+  };
+  std::vector<Key> keys;
+  keys.reserve(lis.num_channels());
   for (lis::ChannelId c = 0; c < static_cast<lis::ChannelId>(lis.num_channels()); ++c) {
     const lis::Channel& ch = lis.channel(c);
-    const auto key = std::make_tuple(ch.src, ch.dst, ch.relay_stations, ch.queue_capacity);
-    const auto [it, inserted] = seen.emplace(key, c);
-    if (inserted) continue;
+    keys.push_back({ch.src, ch.dst, ch.relay_stations, ch.queue_capacity, c});
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<char> duplicate(lis.num_channels(), 0);
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    const Key& a = keys[i - 1];
+    const Key& b = keys[i];
+    if (a.src == b.src && a.dst == b.dst && a.rs == b.rs && a.q == b.q) {
+      duplicate[static_cast<std::size_t>(b.id)] = 1;
+    }
+  }
+  for (lis::ChannelId c = 0; c < static_cast<lis::ChannelId>(lis.num_channels()); ++c) {
+    if (duplicate[static_cast<std::size_t>(c)] == 0) continue;
     Diagnostic d =
         make("L102", "channel " + channel_desc(lis, c) +
                          " duplicates an earlier channel with identical endpoints, rs and q; "

@@ -18,25 +18,12 @@ namespace {
   throw std::invalid_argument("netlist line " + std::to_string(line) + ": " + message);
 }
 
-/// The value of a token that starts with `key` ("rs=", ...). The value must
-/// read as std::stoi reads a whole string (an optional sign, decimal digits,
-/// within int) and be nonnegative; "-0" is 0.
+/// The value of a token that starts with `key` ("rs=", ...), by the integer
+/// rule of util::parse_netlist_int.
 int parse_kv(std::string_view token, std::string_view key, std::size_t line) {
-  std::string_view digits = token.substr(key.size());
-  const bool negative = digits.starts_with('-');
-  if (negative || digits.starts_with('+')) digits.remove_prefix(1);
-  std::int64_t value = 0;
-  bool ok = !digits.empty();
-  for (const char c : digits) {
-    if (c < '0' || c > '9' || (value = value * 10 + (c - '0')) > INT_MAX) {
-      ok = false;
-      break;
-    }
-  }
-  if (!ok || (negative && value != 0)) {
-    fail(line, "bad integer in '" + std::string(token) + "'");
-  }
-  return static_cast<int>(value);
+  const std::optional<int> value = util::parse_netlist_int(token.substr(key.size()));
+  if (!value) fail(line, "bad integer in '" + std::string(token) + "'");
+  return *value;
 }
 
 /// Core name -> id: open addressing with linear probing over views into the

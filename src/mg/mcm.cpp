@@ -8,111 +8,36 @@
 
 #include "graph/cycles.hpp"
 #include "graph/scc.hpp"
+#include "mg/mcm_kernel.hpp"
 #include "util/check.hpp"
 
 namespace lid::mg {
+namespace kernel {
 namespace {
 
-using graph::EdgeId;
-using graph::NodeId;
 using util::Rational;
 
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
 
-/// A per-SCC view with local node indices; edges carry their original place
-/// id and token weight.
-struct LocalScc {
-  struct LocalEdge {
-    int src;
-    int dst;
-    std::int64_t weight;
-    PlaceId place;
-  };
-  int n = 0;
-  std::vector<LocalEdge> edges;
-  std::vector<std::vector<int>> out;  // indices into `edges`
-};
-
-LocalScc make_local(const MarkedGraph& g, const graph::SccPartition& part, int comp) {
-  const auto& members = part.members[static_cast<std::size_t>(comp)];
-  std::vector<int> local_of(g.num_transitions(), -1);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    local_of[static_cast<std::size_t>(members[i])] = static_cast<int>(i);
-  }
-  LocalScc local;
-  local.n = static_cast<int>(members.size());
-  local.out.resize(members.size());
-  const graph::Digraph& s = g.structure();
-  for (const NodeId v : members) {
-    for (const EdgeId e : s.out_edges(v)) {
-      const NodeId w = s.edge(e).dst;
-      if (part.comp_of[static_cast<std::size_t>(w)] != comp) continue;
-      const int lu = local_of[static_cast<std::size_t>(v)];
-      const int lw = local_of[static_cast<std::size_t>(w)];
-      local.out[static_cast<std::size_t>(lu)].push_back(static_cast<int>(local.edges.size()));
-      local.edges.push_back({lu, lw, g.tokens(e), e});
-    }
-  }
-  return local;
-}
-
-/// Karp's minimum cycle mean on one strongly connected component.
-Rational karp_on_scc(const LocalScc& local) {
-  const int n = local.n;
-  LID_ASSERT(n >= 1, "karp_on_scc: empty SCC");
-  // D[k][v] = min weight of a walk with exactly k edges from node 0 to v.
-  std::vector<std::vector<std::int64_t>> d(static_cast<std::size_t>(n) + 1,
-                                           std::vector<std::int64_t>(n, kInf));
-  d[0][0] = 0;
-  for (int k = 1; k <= n; ++k) {
-    for (const auto& e : local.edges) {
-      const std::int64_t base = d[static_cast<std::size_t>(k - 1)][static_cast<std::size_t>(e.src)];
-      if (base == kInf) continue;
-      auto& cell = d[static_cast<std::size_t>(k)][static_cast<std::size_t>(e.dst)];
-      cell = std::min(cell, base + e.weight);
-    }
-  }
-
-  bool found = false;
-  Rational best;
-  for (int v = 0; v < n; ++v) {
-    const std::int64_t dn = d[static_cast<std::size_t>(n)][static_cast<std::size_t>(v)];
-    if (dn == kInf) continue;
-    bool have_term = false;
-    Rational worst;
-    for (int k = 0; k < n; ++k) {
-      const std::int64_t dk = d[static_cast<std::size_t>(k)][static_cast<std::size_t>(v)];
-      if (dk == kInf) continue;
-      const Rational term(dn - dk, n - k);
-      if (!have_term || term > worst) {
-        worst = term;
-        have_term = true;
-      }
-    }
-    LID_ASSERT(have_term, "karp_on_scc: no finite prefix for a reachable node");
-    if (!found || worst < best) {
-      best = worst;
-      found = true;
-    }
-  }
-  LID_ASSERT(found, "karp_on_scc: strongly connected component without a cycle");
-  return best;
-}
-
 /// Bellman-Ford from a virtual source joined to every node at cost 0, over
 /// the integer reduced costs q*w(e) - p, for at most `passes` passes into
 /// `dist`. True once a pass relaxes nothing (the distances have settled).
-bool reduced_cost_distances(const LocalScc& local, __int128 p, std::int64_t q, int passes,
+bool reduced_cost_distances(const SccView& view, __int128 p, std::int64_t q, int passes,
                             std::vector<__int128>& dist) {
-  dist.assign(static_cast<std::size_t>(local.n), 0);
+  dist.assign(static_cast<std::size_t>(view.n), 0);
   for (int pass = 0; pass < passes; ++pass) {
     bool changed = false;
-    for (const auto& e : local.edges) {
-      const __int128 cand = dist[static_cast<std::size_t>(e.src)] +
-                            static_cast<__int128>(q) * e.weight - p;
-      if (cand < dist[static_cast<std::size_t>(e.dst)]) {
-        dist[static_cast<std::size_t>(e.dst)] = cand;
-        changed = true;
+    for (int u = 0; u < view.n; ++u) {
+      const __int128 base = dist[static_cast<std::size_t>(u)];
+      for (int e = view.offset[static_cast<std::size_t>(u)];
+           e < view.offset[static_cast<std::size_t>(u) + 1]; ++e) {
+        const __int128 cand =
+            base + static_cast<__int128>(q) * view.weight[static_cast<std::size_t>(e)] - p;
+        __int128& cell = dist[static_cast<std::size_t>(view.dst[static_cast<std::size_t>(e)])];
+        if (cand < cell) {
+          cell = cand;
+          changed = true;
+        }
       }
     }
     if (!changed) return true;
@@ -165,31 +90,138 @@ Rational simplest_between(__int128 a, __int128 b, __int128 c, __int128 d) {
   }
 }
 
-/// Exact minimum cycle mean in O(V+E) memory: bisect the mean over a
-/// power-of-two grid with integer negative-cycle tests until the bracket is
-/// narrower than 1/n^2, then recover the unique denominator-<=-n fraction
-/// inside it. Time is O(V*E*log(n*W)) — acceptable only on the
-/// policy-iteration paranoia path, where Karp's O(V^2) table would not fit
-/// in memory at this node count.
-Rational parametric_mcm(const LocalScc& local) {
+/// a/b < c/d for positive denominators, exactly.
+bool mean_less(std::int64_t a, std::int64_t b, std::int64_t c, std::int64_t d) {
+  return static_cast<__int128>(a) * d < static_cast<__int128>(c) * b;
+}
+
+}  // namespace
+
+std::vector<int> local_ids(const graph::SccPartition& part) {
+  std::vector<int> local_of(part.comp_of.size(), -1);
+  for (const auto& members : part.members) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      local_of[static_cast<std::size_t>(members[i])] = static_cast<int>(i);
+    }
+  }
+  return local_of;
+}
+
+SccView make_view(const MarkedGraph& g, const graph::SccPartition& part,
+                  const std::vector<int>& local_of, int comp) {
+  const auto& members = part.members[static_cast<std::size_t>(comp)];
+  const graph::Digraph& s = g.structure();
+  const auto internal = [&](graph::EdgeId e) {
+    return part.comp_of[static_cast<std::size_t>(s.edge(e).dst)] == comp;
+  };
+  SccView view;
+  view.n = static_cast<int>(members.size());
+  view.offset.assign(members.size() + 1, 0);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    int degree = 0;
+    for (const graph::EdgeId e : s.out_edges(members[i])) degree += internal(e) ? 1 : 0;
+    view.offset[i + 1] = view.offset[i] + degree;
+  }
+  const auto edges = static_cast<std::size_t>(view.offset.back());
+  view.dst.resize(edges);
+  view.weight.resize(edges);
+  view.place.resize(edges);
+  std::size_t next = 0;
+  for (const graph::NodeId v : members) {
+    for (const graph::EdgeId e : s.out_edges(v)) {
+      if (!internal(e)) continue;
+      view.dst[next] = local_of[static_cast<std::size_t>(s.edge(e).dst)];
+      view.weight[next] = g.tokens(e);
+      view.place[next] = e;
+      ++next;
+    }
+  }
+  return view;
+}
+
+void refresh_weights(SccView& view, const MarkedGraph& g) {
+  for (std::size_t e = 0; e < view.place.size(); ++e) view.weight[e] = g.tokens(view.place[e]);
+}
+
+Rational HowardScratch::lambda(int v) const {
+  const auto c = static_cast<std::size_t>(cycle_of[static_cast<std::size_t>(v)]);
+  return Rational(mean_num[c], mean_den[c]);
+}
+
+bool HowardScratch::lambda_is(int v, const Rational& mean) const {
+  const auto c = static_cast<std::size_t>(cycle_of[static_cast<std::size_t>(v)]);
+  return mean_num[c] == mean.num() && mean_den[c] == mean.den();
+}
+
+Rational karp(const SccView& view) {
+  const int n = view.n;
+  LID_ASSERT(n >= 1, "karp: empty SCC");
+  // d[k*n + v] = min weight of a walk with exactly k edges from node 0 to v.
+  const auto ns = static_cast<std::size_t>(n);
+  std::vector<std::int64_t> d((ns + 1) * ns, kInf);
+  const auto at = [&](int k, int v) -> std::int64_t& {
+    return d[static_cast<std::size_t>(k) * ns + static_cast<std::size_t>(v)];
+  };
+  at(0, 0) = 0;
+  for (int k = 1; k <= n; ++k) {
+    for (int u = 0; u < n; ++u) {
+      const std::int64_t base = at(k - 1, u);
+      if (base == kInf) continue;
+      for (int e = view.offset[static_cast<std::size_t>(u)];
+           e < view.offset[static_cast<std::size_t>(u) + 1]; ++e) {
+        std::int64_t& cell = at(k, view.dst[static_cast<std::size_t>(e)]);
+        cell = std::min(cell, base + view.weight[static_cast<std::size_t>(e)]);
+      }
+    }
+  }
+
+  bool found = false;
+  Rational best;
+  for (int v = 0; v < n; ++v) {
+    const std::int64_t dn = at(n, v);
+    if (dn == kInf) continue;
+    bool have_term = false;
+    Rational worst;
+    for (int k = 0; k < n; ++k) {
+      const std::int64_t dk = at(k, v);
+      if (dk == kInf) continue;
+      const Rational term(dn - dk, n - k);
+      if (!have_term || term > worst) {
+        worst = term;
+        have_term = true;
+      }
+    }
+    LID_ASSERT(have_term, "karp: no finite prefix for a reachable node");
+    if (!found || worst < best) {
+      best = worst;
+      found = true;
+    }
+  }
+  LID_ASSERT(found, "karp: strongly connected component without a cycle");
+  return best;
+}
+
+Rational parametric(const SccView& view) {
   std::int64_t wmax = 0;
-  for (const auto& e : local.edges) wmax = std::max(wmax, e.weight);
+  for (const std::int64_t w : view.weight) wmax = std::max(wmax, w);
   // Bracket invariant: no cycle mean < lo, some cycle mean < hi, with
   // lo = num_lo / 2^k and hi = num_hi / 2^k. Token weights are nonnegative,
-  // so 0 is a valid lower bound; wmax + 1 exceeds every cycle mean.
+  // so 0 is a valid lower bound; wmax + 1 exceeds every cycle mean. Time is
+  // O(V*E*log(n*W)) — acceptable only on the policy-iteration paranoia
+  // path, where Karp's O(V^2) table would not fit in memory.
   __int128 num_lo = 0;
   __int128 num_hi = wmax + 1;
   std::int64_t q = 1;  // common denominator 2^k
-  const __int128 n2 = static_cast<__int128>(local.n) * local.n;
+  const __int128 n2 = static_cast<__int128>(view.n) * view.n;
   std::vector<__int128> dist;
   while ((num_hi - num_lo) * n2 >= q) {
     const __int128 mid = num_lo + num_hi;  // over denominator 2^(k+1)
     LID_ASSERT(q <= std::numeric_limits<std::int64_t>::max() / 2,
-               "parametric_mcm: bisection denominator exceeds int64");
+               "parametric: bisection denominator exceeds int64");
     q *= 2;
     // Some cycle has mean below mid/q exactly when a negative reduced-cost
     // cycle keeps the distances from settling within n + 1 passes.
-    if (!reduced_cost_distances(local, mid, q, local.n + 1, dist)) {
+    if (!reduced_cost_distances(view, mid, q, view.n + 1, dist)) {
       num_hi = mid;
       num_lo *= 2;
     } else {
@@ -198,179 +230,160 @@ Rational parametric_mcm(const LocalScc& local) {
     }
   }
   const Rational mu = simplest_between(num_lo, q, num_hi, q);
-  LID_ASSERT(mu.den() <= local.n, "parametric_mcm: recovered mean has an impossible denominator");
+  LID_ASSERT(mu.den() <= view.n, "parametric: recovered mean has an impossible denominator");
   return mu;
 }
 
-/// Karp's O(V^2) walk table stays affordable up to this many nodes (~134 MB);
-/// larger components use the O(V+E)-memory parametric search instead.
-constexpr int kKarpTableMaxNodes = 4096;
-
-/// Exact critical-cycle extraction used when policy iteration fails to
-/// settle: take the exact minimum mean μ = p/q (Karp when the table fits,
-/// parametric search beyond), compute Bellman-Ford potentials for integer
-/// reduced costs q*w(e) - p, and walk the tight subgraph (edges achieving
-/// equality), which always contains a μ-mean cycle. The cycle is written
-/// into `cycle_out` (buffer reused); the mean μ is returned.
-Rational exact_fallback_cycle(const LocalScc& local, std::vector<PlaceId>& cycle_out) {
-  const Rational mu =
-      local.n <= kKarpTableMaxNodes ? karp_on_scc(local) : parametric_mcm(local);
-  const auto n = static_cast<std::size_t>(local.n);
+Rational exact_fallback_cycle(const SccView& view, std::vector<PlaceId>& cycle_out) {
+  const Rational mu = view.n <= kKarpTableMaxNodes ? karp(view) : parametric(view);
   const std::int64_t p = mu.num();
   const std::int64_t q = mu.den();
   std::vector<__int128> dist;
-  reduced_cost_distances(local, p, q, local.n, dist);
+  reduced_cost_distances(view, p, q, view.n, dist);
   // Tight edges: dist[dst] == dist[src] + q*w - p. Around a critical cycle
   // all inequalities hold with equality, so the tight subgraph contains a
   // cycle, and every cycle of the tight subgraph has reduced cost 0, i.e.
   // mean μ.
-  graph::Digraph tight_graph(n);
-  std::vector<int> tight_origin;  // tight-graph edge -> local edge index
-  for (int e = 0; e < static_cast<int>(local.edges.size()); ++e) {
-    const auto& edge = local.edges[static_cast<std::size_t>(e)];
-    if (dist[static_cast<std::size_t>(edge.dst)] ==
-        dist[static_cast<std::size_t>(edge.src)] + static_cast<__int128>(q) * edge.weight - p) {
-      tight_graph.add_edge(edge.src, edge.dst);
-      tight_origin.push_back(e);
+  graph::Digraph tight_graph(static_cast<std::size_t>(view.n));
+  std::vector<int> tight_origin;  // tight-graph edge -> view edge
+  for (int u = 0; u < view.n; ++u) {
+    for (int e = view.offset[static_cast<std::size_t>(u)];
+         e < view.offset[static_cast<std::size_t>(u) + 1]; ++e) {
+      const int w = view.dst[static_cast<std::size_t>(e)];
+      if (dist[static_cast<std::size_t>(w)] ==
+          dist[static_cast<std::size_t>(u)] +
+              static_cast<__int128>(q) * view.weight[static_cast<std::size_t>(e)] - p) {
+        tight_graph.add_edge(u, w);
+        tight_origin.push_back(e);
+      }
     }
   }
   cycle_out.clear();
   for (const graph::EdgeId te : graph::find_cycle(tight_graph)) {
     cycle_out.push_back(
-        local.edges[static_cast<std::size_t>(tight_origin[static_cast<std::size_t>(te)])].place);
+        view.place[static_cast<std::size_t>(tight_origin[static_cast<std::size_t>(te)])]);
   }
   LID_ASSERT(!cycle_out.empty(), "exact_fallback_cycle: tight subgraph has no cycle");
   return mu;
 }
 
-/// Scratch vectors shared by every Howard solve issued through one workspace
-/// (or one top-level call): sized for the largest SCC seen, never shrunk, so
-/// a warm re-solve allocates nothing.
-///
-/// Values are kept as scaled integers, not Rationals: within one policy
-/// chain tree every node inherits the lambda p/q of its root cycle, so the
-/// exact value is value_s[v] / lambda[v].den(). Keeping the integer numerator
-/// makes every evaluation and phase-2 comparison a handful of integer ops —
-/// the Rational representation paid a gcd normalization per edge per round,
-/// which dominated the solve on 10^5-node components.
-struct HowardScratch {
-  std::vector<Rational> lambda;
-  std::vector<__int128> value_s;  // value numerator, scaled by lambda's den
-  std::vector<int> cycle_stamp;
-  std::vector<char> evaluated;
-  std::vector<int> chain;
-  std::vector<int> cyc;
-  std::vector<int> walk;
-  std::vector<int> seen_at;
-  std::vector<PlaceId> cycle;  // critical-cycle output buffer
-};
-
-/// Howard's policy iteration (min cycle mean) on one strongly connected
-/// component. Returns the minimum mean; the critical cycle (place ids) lands
-/// in `sc.cycle`. `policy` is in/out: when sized to the SCC it seeds the
-/// iteration (warm start — any valid policy converges to the same minimum
-/// mean), otherwise it is (re)seeded with each node's minimum-weight
-/// out-edge. `rounds` accumulates policy-improvement rounds.
-Rational howard_on_scc(const LocalScc& local, std::vector<int>& policy, HowardScratch& sc,
-                       std::int64_t& rounds) {
-  const int n = local.n;
+Rational howard(const SccView& view, std::vector<int>& policy, HowardScratch& sc,
+                std::int64_t& rounds) {
+  const int n = view.n;
   const auto ns = static_cast<std::size_t>(n);
-  // Policy: chosen out-edge (index into local.edges) per node.
+  const int* const offset = view.offset.data();
+  const int* const dst = view.dst.data();
+  const std::int64_t* const weight = view.weight.data();
   if (policy.size() != ns) {
     policy.assign(ns, -1);
     for (int v = 0; v < n; ++v) {
-      const auto& outs = local.out[static_cast<std::size_t>(v)];
-      LID_ASSERT(!outs.empty(), "howard_on_scc: SCC node without internal out-edge");
-      int best = outs.front();
-      for (const int e : outs) {
-        if (local.edges[static_cast<std::size_t>(e)].weight <
-            local.edges[static_cast<std::size_t>(best)].weight) {
-          best = e;
-        }
+      LID_ASSERT(offset[v] < offset[v + 1], "howard: SCC node without internal out-edge");
+      int best = offset[v];
+      for (int e = offset[v]; e < offset[v + 1]; ++e) {
+        if (weight[e] < weight[best]) best = e;
       }
       policy[static_cast<std::size_t>(v)] = best;
     }
   }
+  int* const pol = policy.data();
 
-  sc.lambda.assign(ns, Rational());
+  sc.cycle_of.assign(ns, 0);
+  sc.rank.assign(ns, 0);
   sc.value_s.assign(ns, 0);
-  sc.cycle_stamp.assign(ns, -1);  // which evaluation round visited the node
+  sc.cycle_stamp.assign(ns, -1);  // which walk of the round visited the node
   sc.evaluated.assign(ns, 0);
-  auto& lambda = sc.lambda;
-  auto& value_s = sc.value_s;
-  auto& cycle_stamp = sc.cycle_stamp;
-  auto& evaluated = sc.evaluated;
+  int* const cycle_of = sc.cycle_of.data();
+  int* const rank = sc.rank.data();
+  __int128* const value_s = sc.value_s.data();
+  int* const cycle_stamp = sc.cycle_stamp.data();
+  char* const evaluated = sc.evaluated.data();
 
+  // Values of a policy tree are scaled by its root cycle's mean p/q, so
+  // value[v] = value_s[v] / q exactly; each policy cycle is anchored at its
+  // minimum node id (a deterministic anchor keeps values comparable across
+  // rounds, which phase-2 termination relies on).
   const auto evaluate = [&] {
-    std::fill(evaluated.begin(), evaluated.end(), 0);
-    std::fill(cycle_stamp.begin(), cycle_stamp.end(), -1);
-    int round = 0;
+    std::fill(sc.evaluated.begin(), sc.evaluated.end(), 0);
+    std::fill(sc.cycle_stamp.begin(), sc.cycle_stamp.end(), -1);
+    sc.mean_num.clear();
+    sc.mean_den.clear();
+    int walk = 0;
     for (int start = 0; start < n; ++start) {
-      if (evaluated[static_cast<std::size_t>(start)]) continue;
-      // Follow the policy chain until we hit an evaluated node or revisit a
-      // node from this walk (found the policy cycle).
+      if (evaluated[start]) continue;
+      // Follow the policy chain until it reaches an evaluated node or
+      // revisits a node of this walk (a fresh policy cycle).
       auto& chain = sc.chain;
       chain.clear();
       int v = start;
-      while (!evaluated[static_cast<std::size_t>(v)] &&
-             cycle_stamp[static_cast<std::size_t>(v)] != round) {
-        cycle_stamp[static_cast<std::size_t>(v)] = round;
+      while (!evaluated[v] && cycle_stamp[v] != walk) {
+        cycle_stamp[v] = walk;
         chain.push_back(v);
-        v = local.edges[static_cast<std::size_t>(policy[static_cast<std::size_t>(v)])].dst;
+        v = dst[pol[v]];
       }
-      if (!evaluated[static_cast<std::size_t>(v)]) {
-        // v lies on a fresh policy cycle: compute its mean, then values.
+      if (!evaluated[v]) {
         std::int64_t tokens = 0;
         std::int64_t length = 0;
-        int u = v;
-        do {
-          tokens += local.edges[static_cast<std::size_t>(policy[static_cast<std::size_t>(u)])].weight;
-          ++length;
-          u = local.edges[static_cast<std::size_t>(policy[static_cast<std::size_t>(u)])].dst;
-        } while (u != v);
-        const Rational mean(tokens, length);
-        // Collect the cycle and anchor at its minimum node id (a
-        // deterministic anchor keeps values comparable across evaluation
-        // rounds, which phase-2 termination relies on), then solve
-        // value[u] = w(u) - mean + value[next(u)] in reverse visit order.
         auto& cyc = sc.cyc;
         cyc.clear();
-        u = v;
+        int u = v;
         do {
+          tokens += weight[pol[u]];
+          ++length;
           cyc.push_back(u);
-          u = local.edges[static_cast<std::size_t>(policy[static_cast<std::size_t>(u)])].dst;
+          u = dst[pol[u]];
         } while (u != v);
+        const Rational mean(tokens, length);
+        const int c = static_cast<int>(sc.mean_num.size());
+        sc.mean_num.push_back(mean.num());
+        sc.mean_den.push_back(mean.den());
         std::rotate(cyc.begin(), std::min_element(cyc.begin(), cyc.end()), cyc.end());
         const int anchor = cyc.front();
-        lambda[static_cast<std::size_t>(anchor)] = mean;
-        value_s[static_cast<std::size_t>(anchor)] = 0;
-        evaluated[static_cast<std::size_t>(anchor)] = 1;
+        cycle_of[anchor] = c;
+        value_s[anchor] = 0;
+        evaluated[anchor] = 1;
         const std::int64_t p = mean.num();
         const std::int64_t q = mean.den();
         for (std::size_t i = cyc.size(); i-- > 1;) {
           const int node = cyc[i];
-          const auto& e = local.edges[static_cast<std::size_t>(policy[static_cast<std::size_t>(node)])];
-          lambda[static_cast<std::size_t>(node)] = mean;
-          value_s[static_cast<std::size_t>(node)] =
-              static_cast<__int128>(q) * e.weight - p + value_s[static_cast<std::size_t>(e.dst)];
-          evaluated[static_cast<std::size_t>(node)] = 1;
+          const int e = pol[node];
+          cycle_of[node] = c;
+          value_s[node] = static_cast<__int128>(q) * weight[e] - p + value_s[dst[e]];
+          evaluated[node] = 1;
         }
       }
-      // Nodes on the chain before reaching `v` inherit v's cycle data; their
-      // scaled values share the inherited lambda's denominator.
+      // Chain nodes before `v` inherit v's cycle and its denominator.
       for (std::size_t i = chain.size(); i-- > 0;) {
         const int node = chain[i];
-        if (evaluated[static_cast<std::size_t>(node)]) continue;
-        const auto& e = local.edges[static_cast<std::size_t>(policy[static_cast<std::size_t>(node)])];
-        const Rational lam = lambda[static_cast<std::size_t>(e.dst)];
-        lambda[static_cast<std::size_t>(node)] = lam;
-        value_s[static_cast<std::size_t>(node)] =
-            static_cast<__int128>(lam.den()) * e.weight - lam.num() +
-            value_s[static_cast<std::size_t>(e.dst)];
-        evaluated[static_cast<std::size_t>(node)] = 1;
+        if (evaluated[node]) continue;
+        const int e = pol[node];
+        const int c = cycle_of[dst[e]];
+        const auto ci = static_cast<std::size_t>(c);
+        cycle_of[node] = c;
+        value_s[node] = static_cast<__int128>(sc.mean_den[ci]) * weight[e] - sc.mean_num[ci] +
+                        value_s[dst[e]];
+        evaluated[node] = 1;
       }
-      ++round;
+      ++walk;
     }
+    // Dense ranks over the round's distinct means.
+    const std::size_t cycles = sc.mean_num.size();
+    const std::int64_t* const num = sc.mean_num.data();
+    const std::int64_t* const den = sc.mean_den.data();
+    sc.order.resize(cycles);
+    for (std::size_t c = 0; c < cycles; ++c) sc.order[c] = static_cast<int>(c);
+    std::sort(sc.order.begin(), sc.order.end(),
+              [&](int a, int b) { return mean_less(num[a], den[a], num[b], den[b]); });
+    sc.cycle_rank.resize(cycles);
+    int r = 0;
+    for (std::size_t i = 0; i < cycles; ++i) {
+      const int c = sc.order[i];
+      if (i > 0) {
+        const int prev = sc.order[i - 1];
+        if (num[c] != num[prev] || den[c] != den[prev]) ++r;
+      }
+      sc.cycle_rank[static_cast<std::size_t>(c)] = r;
+    }
+    for (int v = 0; v < n; ++v) rank[v] = sc.cycle_rank[static_cast<std::size_t>(cycle_of[v])];
   };
 
   const long max_iterations = 1000L * n + 1000L;
@@ -379,49 +392,43 @@ Rational howard_on_scc(const LocalScc& local, std::vector<int>& policy, HowardSc
     evaluate();
     ++rounds;
     bool improved = false;
-    // Phase 1: switch to a successor whose policy cycle has a smaller mean.
+    // Phase 1: switch to the first successor whose policy cycle has a
+    // strictly smaller mean.
     for (int v = 0; v < n; ++v) {
-      int best = policy[static_cast<std::size_t>(v)];
-      Rational best_lambda =
-          lambda[static_cast<std::size_t>(local.edges[static_cast<std::size_t>(best)].dst)];
-      for (const int e : local.out[static_cast<std::size_t>(v)]) {
-        const Rational cand = lambda[static_cast<std::size_t>(local.edges[static_cast<std::size_t>(e)].dst)];
-        if (cand < best_lambda) {
+      int best = pol[v];
+      int best_rank = rank[dst[best]];
+      for (int e = offset[v]; e < offset[v + 1]; ++e) {
+        const int r = rank[dst[e]];
+        if (r < best_rank) {
           best = e;
-          best_lambda = cand;
+          best_rank = r;
         }
       }
-      if (best != policy[static_cast<std::size_t>(v)]) {
-        policy[static_cast<std::size_t>(v)] = best;
+      if (best != pol[v]) {
+        pol[v] = best;
         improved = true;
       }
     }
     if (improved) continue;
-    // Phase 2: same-lambda value improvement. Restricting candidates to
-    // successors with an identical lambda means every compared value shares
-    // one denominator, so the scaled integers compare directly.
+    // Phase 2: same-mean value improvement. Candidates share v's rank, so
+    // every compared value shares one denominator and compares directly.
     for (int v = 0; v < n; ++v) {
-      const Rational lam = lambda[static_cast<std::size_t>(v)];
-      const std::int64_t p = lam.num();
-      const std::int64_t q = lam.den();
-      int best = policy[static_cast<std::size_t>(v)];
-      const auto reduced = [&](int e) {
-        const auto& edge = local.edges[static_cast<std::size_t>(e)];
-        return static_cast<__int128>(q) * edge.weight - p +
-               value_s[static_cast<std::size_t>(edge.dst)];
-      };
-      __int128 best_value = reduced(best);
-      for (const int e : local.out[static_cast<std::size_t>(v)]) {
-        const auto& edge = local.edges[static_cast<std::size_t>(e)];
-        if (lambda[static_cast<std::size_t>(edge.dst)] != lam) continue;
-        const __int128 cand = reduced(e);
+      const auto c = static_cast<std::size_t>(cycle_of[v]);
+      const std::int64_t p = sc.mean_num[c];
+      const std::int64_t q = sc.mean_den[c];
+      const int rv = rank[v];
+      int best = pol[v];
+      __int128 best_value = static_cast<__int128>(q) * weight[best] - p + value_s[dst[best]];
+      for (int e = offset[v]; e < offset[v + 1]; ++e) {
+        if (rank[dst[e]] != rv) continue;
+        const __int128 cand = static_cast<__int128>(q) * weight[e] - p + value_s[dst[e]];
         if (cand < best_value) {
           best = e;
           best_value = cand;
         }
       }
-      if (best_value < value_s[static_cast<std::size_t>(v)]) {
-        policy[static_cast<std::size_t>(v)] = best;
+      if (best_value < value_s[v]) {
+        pol[v] = best;
         improved = true;
       }
     }
@@ -435,15 +442,15 @@ Rational howard_on_scc(const LocalScc& local, std::vector<int>& policy, HowardSc
     // fall back to an always-exact mean with a tight-subgraph cycle
     // extraction (Bellman-Ford potentials; edges tight at the optimum form a
     // subgraph that must contain a critical cycle).
-    return exact_fallback_cycle(local, sc.cycle);
+    return exact_fallback_cycle(view, sc.cycle);
   }
 
-  // Extract the critical policy cycle: start from a node with minimal lambda.
+  // Extract the critical policy cycle: walk the policy from the first node
+  // of minimal rank until a node repeats, then emit the cycle portion.
   int start = 0;
   for (int v = 1; v < n; ++v) {
-    if (lambda[static_cast<std::size_t>(v)] < lambda[static_cast<std::size_t>(start)]) start = v;
+    if (rank[v] < rank[start]) start = v;
   }
-  // Walk the policy until a node repeats; then emit the cycle portion.
   sc.seen_at.assign(ns, -1);
   auto& seen_at = sc.seen_at;
   auto& walk = sc.walk;
@@ -452,41 +459,39 @@ Rational howard_on_scc(const LocalScc& local, std::vector<int>& policy, HowardSc
   while (seen_at[static_cast<std::size_t>(v)] == -1) {
     seen_at[static_cast<std::size_t>(v)] = static_cast<int>(walk.size());
     walk.push_back(v);
-    v = local.edges[static_cast<std::size_t>(policy[static_cast<std::size_t>(v)])].dst;
+    v = dst[pol[v]];
   }
   sc.cycle.clear();
   for (std::size_t i = static_cast<std::size_t>(seen_at[static_cast<std::size_t>(v)]);
        i < walk.size(); ++i) {
-    sc.cycle.push_back(
-        local.edges[static_cast<std::size_t>(policy[static_cast<std::size_t>(walk[i])])].place);
+    sc.cycle.push_back(view.place[static_cast<std::size_t>(pol[walk[i]])]);
   }
-  return lambda[static_cast<std::size_t>(v)];
+  return sc.lambda(v);
 }
 
-/// True when `s` are valid scaled potentials for bound p/q on this SCC:
-/// q*w(e) - p + s[dst] - s[src] >= 0 for every local edge. All arithmetic in
-/// 128 bits so adversarial token counts cannot overflow the validation.
-bool potentials_valid(const LocalScc& local, std::int64_t p, std::int64_t q,
+bool potentials_valid(const SccView& view, std::int64_t p, std::int64_t q,
                       const std::vector<std::int64_t>& s) {
-  for (const auto& e : local.edges) {
-    const __int128 slack = static_cast<__int128>(q) * e.weight - p +
-                           s[static_cast<std::size_t>(e.dst)] -
-                           s[static_cast<std::size_t>(e.src)];
-    if (slack < 0) return false;
+  for (int u = 0; u < view.n; ++u) {
+    for (int e = view.offset[static_cast<std::size_t>(u)];
+         e < view.offset[static_cast<std::size_t>(u) + 1]; ++e) {
+      const __int128 slack =
+          static_cast<__int128>(q) * view.weight[static_cast<std::size_t>(e)] - p +
+          s[static_cast<std::size_t>(view.dst[static_cast<std::size_t>(e)])] -
+          s[static_cast<std::size_t>(u)];
+      if (slack < 0) return false;
+    }
   }
   return true;
 }
 
-/// Exact potential fallback: Bellman-Ford shortest paths from a virtual
-/// source over integer reduced costs c(e) = q*w(e) - p. Every cycle of the
-/// SCC has nonnegative total reduced cost (its mean is >= p/q), so the
-/// distances stabilize within n passes; s = -dist satisfies the potential
-/// inequality by the relaxation fixpoint.
-void bellman_ford_potentials(const LocalScc& local, std::int64_t p, std::int64_t q,
+void bellman_ford_potentials(const SccView& view, std::int64_t p, std::int64_t q,
                              std::vector<std::int64_t>& s) {
-  const auto n = static_cast<std::size_t>(local.n);
+  // Every cycle has nonnegative total reduced cost (its mean is >= p/q), so
+  // the distances settle within n passes; s = -dist satisfies the potential
+  // inequality by the relaxation fixpoint.
+  const auto n = static_cast<std::size_t>(view.n);
   std::vector<__int128> dist;
-  reduced_cost_distances(local, p, q, local.n, dist);
+  reduced_cost_distances(view, p, q, view.n, dist);
   s.assign(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
     const __int128 val = -dist[v];
@@ -496,6 +501,13 @@ void bellman_ford_potentials(const LocalScc& local, std::int64_t p, std::int64_t
     s[v] = static_cast<std::int64_t>(val);
   }
 }
+
+}  // namespace kernel
+
+namespace {
+
+using graph::EdgeId;
+using util::Rational;
 
 /// Cheap structural fingerprint: transition/place counts plus every place's
 /// endpoints. Two graphs with equal fingerprints are treated as structurally
@@ -529,9 +541,9 @@ Rational mst_of(const std::optional<MeanCycle>& critical) {
 struct WorkspaceImpl {
   bool valid = false;
   std::uint64_t fingerprint = 0;
-  std::vector<LocalScc> locals;              // cyclic SCCs, in scc() order
-  std::vector<std::vector<int>> policies;    // last policy per local SCC
-  HowardScratch scratch;
+  std::vector<kernel::SccView> views;      // cyclic SCCs, in scc() order
+  std::vector<std::vector<int>> policies;  // last policy per view
+  kernel::HowardScratch scratch;
   WorkspaceStats stats;
 
   /// Points the cached views at `g`: true when the previous structure matched
@@ -539,9 +551,7 @@ struct WorkspaceImpl {
   bool prepare(const MarkedGraph& g) {
     const std::uint64_t fp = structure_fingerprint(g);
     if (valid && fp == fingerprint) {
-      for (LocalScc& local : locals) {
-        for (LocalScc::LocalEdge& e : local.edges) e.weight = g.tokens(e.place);
-      }
+      for (kernel::SccView& view : views) kernel::refresh_weights(view, g);
       return true;
     }
     rebuild(g, graph::scc(g.structure()), fp);
@@ -550,13 +560,14 @@ struct WorkspaceImpl {
 
   /// Caches `g`'s cyclic SCCs (in `part` order) with no policy: solves start cold.
   void rebuild(const MarkedGraph& g, const graph::SccPartition& part, std::uint64_t fp) {
-    locals.clear();
+    views.clear();
     policies.clear();
+    const std::vector<int> local_of = kernel::local_ids(part);
     for (int c = 0; c < part.count; ++c) {
       if (!part.is_cyclic(c, g.structure())) continue;
-      locals.push_back(make_local(g, part, c));
+      views.push_back(kernel::make_view(g, part, local_of, c));
     }
-    policies.resize(locals.size());
+    policies.resize(views.size());
     fingerprint = fp;
     valid = true;
   }
@@ -574,14 +585,13 @@ bool min_cycle_mean_howard(const MarkedGraph& g, Workspace& ws, MeanCycle& out) 
   const bool reused = im.prepare(g);
   out.cycle.clear();
   bool found = false;
-  for (std::size_t i = 0; i < im.locals.size(); ++i) {
+  for (std::size_t i = 0; i < im.views.size(); ++i) {
     std::vector<int>& policy = im.policies[i];
-    const bool warm =
-        reused && policy.size() == static_cast<std::size_t>(im.locals[i].n);
+    const bool warm = reused && policy.size() == static_cast<std::size_t>(im.views[i].n);
     if (!warm) policy.clear();
     (warm ? im.stats.warm_restarts : im.stats.cold_starts) += 1;
     const Rational mean =
-        howard_on_scc(im.locals[i], policy, im.scratch, im.stats.improvement_rounds);
+        kernel::howard(im.views[i], policy, im.scratch, im.stats.improvement_rounds);
     if (!found || mean < out.mean) {
       out.mean = mean;
       std::swap(out.cycle, im.scratch.cycle);
@@ -602,46 +612,45 @@ McmEvidence mcm_evidence(const MarkedGraph& g, Workspace& ws) {
   ev.lambda.assign(static_cast<std::size_t>(part.count), Rational(1));
   ev.potential.assign(g.num_transitions(), 0);
 
-  HowardScratch& sc = im.scratch;
-  std::size_t next_local = 0;  // locals hold the cyclic SCCs in part order
+  kernel::HowardScratch& sc = im.scratch;
+  std::size_t next_view = 0;  // views hold the cyclic SCCs in part order
+  std::vector<std::int64_t> s;
   for (int c = 0; c < part.count; ++c) {
     if (!part.is_cyclic(c, g.structure())) continue;
     ev.component_cyclic[static_cast<std::size_t>(c)] = 1;
-    const std::size_t i = next_local++;
-    const LocalScc& local = im.locals[i];
+    const std::size_t i = next_view++;
+    const kernel::SccView& view = im.views[i];
     im.stats.cold_starts += 1;
-    const Rational mean = howard_on_scc(local, im.policies[i], sc, im.stats.improvement_rounds);
+    const Rational mean = kernel::howard(view, im.policies[i], sc, im.stats.improvement_rounds);
     ev.lambda[static_cast<std::size_t>(c)] = mean;
 
     // Candidate potentials from Howard's converged value vector (at
-    // convergence lambda is uniform across the SCC, so every scaled value
+    // convergence λ is uniform across the SCC, so every scaled value
     // already carries the denominator q; the exact fallback leaves stale
     // values behind, caught by the uniformity test), validated in one O(E)
     // pass; Bellman-Ford covers the rest exactly.
     const std::int64_t p = mean.num();
     const std::int64_t q = mean.den();
-    std::vector<std::int64_t> s(static_cast<std::size_t>(local.n), 0);
-    bool ok = sc.lambda.size() >= static_cast<std::size_t>(local.n) &&
-              sc.value_s.size() >= static_cast<std::size_t>(local.n);
-    for (int v = 0; ok && v < local.n; ++v) {
+    s.assign(static_cast<std::size_t>(view.n), 0);
+    bool ok = true;
+    for (int v = 0; v < view.n; ++v) {
       const __int128 val = sc.value_s[static_cast<std::size_t>(v)];
-      if (sc.lambda[static_cast<std::size_t>(v)] != mean ||
-          val < std::numeric_limits<std::int64_t>::min() ||
+      if (!sc.lambda_is(v, mean) || val < std::numeric_limits<std::int64_t>::min() ||
           val > std::numeric_limits<std::int64_t>::max()) {
         ok = false;
         break;
       }
       s[static_cast<std::size_t>(v)] = static_cast<std::int64_t>(val);
     }
-    if (ok) ok = potentials_valid(local, p, q, s);
+    if (ok) ok = kernel::potentials_valid(view, p, q, s);
     if (!ok) {
-      bellman_ford_potentials(local, p, q, s);
-      LID_ASSERT(potentials_valid(local, p, q, s),
+      kernel::bellman_ford_potentials(view, p, q, s);
+      LID_ASSERT(kernel::potentials_valid(view, p, q, s),
                  "mcm_evidence: fallback potentials invalid");
     }
     const auto& members = part.members[static_cast<std::size_t>(c)];
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      ev.potential[static_cast<std::size_t>(members[i])] = s[i];
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      ev.potential[static_cast<std::size_t>(members[m])] = s[m];
     }
 
     if (!ev.critical || mean < ev.critical->mean) ev.critical = MeanCycle{mean, sc.cycle};
@@ -659,9 +668,10 @@ Rational mst(const McmEvidence& evidence) { return mst_of(evidence.critical); }
 std::optional<Rational> min_cycle_mean_karp(const MarkedGraph& g) {
   std::optional<Rational> best;
   const graph::SccPartition part = graph::scc(g.structure());
+  const std::vector<int> local_of = kernel::local_ids(part);
   for (int c = 0; c < part.count; ++c) {
     if (!part.is_cyclic(c, g.structure())) continue;
-    const Rational mean = karp_on_scc(make_local(g, part, c));
+    const Rational mean = kernel::karp(kernel::make_view(g, part, local_of, c));
     if (!best || mean < *best) best = mean;
   }
   return best;

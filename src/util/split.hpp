@@ -6,6 +6,9 @@
 // caller's buffer, so no line or token is copied.
 #pragma once
 
+#include <climits>
+#include <cstdint>
+#include <optional>
 #include <string_view>
 
 namespace lid::util {
@@ -52,5 +55,21 @@ class Tokens {
  private:
   std::string_view rest_;
 };
+
+/// The value of a netlist integer (docs/file-format.md): read as std::stoi
+/// reads a whole string — an optional '+' or '-', then one or more decimal
+/// digits — and nonnegative, from 0 to 2147483647 ("-0" is 0). Nothing for
+/// any other token.
+constexpr std::optional<int> parse_netlist_int(std::string_view token) {
+  const bool negative = token.starts_with('-');
+  if (negative || token.starts_with('+')) token.remove_prefix(1);
+  if (token.empty()) return std::nullopt;
+  std::int64_t value = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9' || (value = value * 10 + (c - '0')) > INT_MAX) return std::nullopt;
+  }
+  if (negative && value != 0) return std::nullopt;
+  return static_cast<int>(value);
+}
 
 }  // namespace lid::util

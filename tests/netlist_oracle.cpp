@@ -143,9 +143,16 @@ Profile parse_profile(const std::string& lis_text, const lis::LisGraph& lis) {
     if (tokens.empty()) bad_line(line, "empty directive");
     if (tokens[0] == "channel") {
       if (tokens.size() != 3) bad_line(line, "expected '#! channel <index> latency=<spec>'");
+      // The index follows the netlist integer rule (docs/file-format.md):
+      // std::stoi over the whole token, nonnegative. (The reader this oracle
+      // was taken from used std::stoul on a prefix, so "1x" read as 1; the
+      // rule changed in both readers at once.)
       std::size_t index = 0;
       try {
-        index = std::stoul(tokens[1]);
+        std::size_t used = 0;
+        const int value = std::stoi(tokens[1], &used);
+        if (used != tokens[1].size() || value < 0) throw std::invalid_argument(tokens[1]);
+        index = static_cast<std::size_t>(value);
       } catch (const std::exception&) {
         bad_line(line, "channel index is not a number");
       }

@@ -323,6 +323,35 @@ TEST(DesAnnotations, MalformedAnnotationsThrow) {
   }
 }
 
+TEST(DesAnnotations, ChannelIndexFollowsTheNetlistIntegerRule) {
+  // The index reads as a netlist integer (docs/file-format.md): a trailing
+  // byte, an exponent or a sign on a nonzero value is not a number; a
+  // leading '+' and leading zeros are.
+  const lis::LisGraph system = lis::from_text(kChain);
+  for (const char* index : {"1x", "1zz", "0x", "1e3", "-1", "x1", "", "+", "2147483648"}) {
+    const std::string line = std::string("#! channel ") + index + " latency=fixed:2";
+    try {
+      des::parse_profile(std::string(kChain) + line + "\n", system);
+      ADD_FAILURE() << "'" << line << "' must throw";
+    } catch (const std::invalid_argument& e) {
+      // An empty index leaves two tokens: the line's shape is wrong first.
+      EXPECT_NE(std::string(e.what()).find(*index == '\0' ? "expected '#! channel"
+                                                            : "channel index is not a number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  des::Profile expected;
+  expected.channel_latency = {des::LatencyDist::fixed(2)};
+  expected.core_arrival = {std::nullopt, std::nullopt};
+  for (const char* index : {"0", "+0", "-0", "000"}) {
+    const std::string line = std::string("#! channel ") + index + " latency=fixed:2";
+    EXPECT_EQ(des::parse_profile(std::string(kChain) + line + "\n", system), expected) << line;
+  }
+  EXPECT_THROW(des::parse_profile(std::string(kChain) + "#! channel 1 latency=fixed:2\n", system),
+               std::invalid_argument);
+}
+
 TEST(DesAnnotations, CrlfAndTabSeparatedAnnotationsParse) {
   const lis::LisGraph system = lis::from_text(kChain);
   des::Profile expected;

@@ -9,6 +9,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "lid_api.hpp"
@@ -130,6 +132,57 @@ TEST(Checks, L102ExactDuplicateChannel) {
   // Parallel channels that differ in rs are NOT duplicates (Fig. 1/2 shape).
   const Report fig1 = run_checks(lis::make_two_core_example());
   EXPECT_FALSE(fig1.has_code("L102"));
+}
+
+/// The channels L102 flags, by its definition: each channel with the
+/// endpoints, rs and q of an earlier channel, in id order.
+std::vector<std::int64_t> duplicates_by_definition(const lis::LisGraph& lis) {
+  std::set<std::tuple<lis::CoreId, lis::CoreId, int, int>> seen;
+  std::vector<std::int64_t> flagged;
+  for (lis::ChannelId c = 0; c < static_cast<lis::ChannelId>(lis.num_channels()); ++c) {
+    const lis::Channel& ch = lis.channel(c);
+    if (!seen.emplace(ch.src, ch.dst, ch.relay_stations, ch.queue_capacity).second) {
+      flagged.push_back(c);
+    }
+  }
+  return flagged;
+}
+
+std::vector<std::int64_t> flagged_l102(const Report& report) {
+  std::vector<std::int64_t> flagged;
+  for (const Diagnostic& d : report.diagnostics) {
+    if (d.code == "L102") flagged.push_back(d.location.channel);
+  }
+  return flagged;
+}
+
+TEST(Checks, L102FlagsEveryLaterCopyInIdOrder) {
+  std::vector<std::pair<std::string, lis::LisGraph>> systems;
+  systems.emplace_back("cofdm", lis::load_netlist(std::string(LID_DATA_DIR) + "/cofdm.lis"));
+  for (int i = 0; i < 20; ++i) {
+    const std::string file = "sys" + std::to_string(i) + ".lis";
+    systems.emplace_back(file, lis::load_netlist(std::string(LID_DATA_DIR) + "/corpus/" + file));
+  }
+  for (const auto& entry : fs::directory_iterator(LID_MALFORMED_DIR "/lint")) {
+    systems.emplace_back(entry.path().filename().string(),
+                         lis::load_netlist(entry.path().string()));
+  }
+  // Three copies of one channel interleaved with copies that differ in one
+  // field each: only the second and third exact copies are flagged.
+  systems.emplace_back("interleaved", lis::from_text("core A\ncore B\nchannel A -> B q=2\n"
+                                                     "channel A -> B q=3\nchannel A -> B q=2\n"
+                                                     "channel B -> A q=2\nchannel A -> B rs=1 q=2\n"
+                                                     "channel A -> B q=2\n"));
+  bool cofdm_fires = false;
+  for (const auto& [name, lis] : systems) {
+    const std::vector<std::int64_t> flagged = flagged_l102(run_checks(lis));
+    EXPECT_EQ(flagged, duplicates_by_definition(lis)) << name;
+    if (name == "cofdm") cofdm_fires = !flagged.empty();
+    if (name == "interleaved") {
+      EXPECT_EQ(flagged, (std::vector<std::int64_t>{2, 5})) << name;
+    }
+  }
+  EXPECT_TRUE(cofdm_fires) << "COFDM's replicated channels must fire L102";
 }
 
 TEST(Checks, L103DisconnectedComponents) {

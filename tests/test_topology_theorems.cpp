@@ -6,10 +6,15 @@
 //   * general topologies can and do degrade.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "core/fixed_qs.hpp"
 #include "gen/generator.hpp"
 #include "graph/topology.hpp"
+#include "graph/scc.hpp"
 #include "lis/lis_graph.hpp"
+#include "lis/netlist_io.hpp"
 #include "lis/paper_systems.hpp"
 #include "util/rng.hpp"
 
@@ -146,6 +151,56 @@ TEST(SingleRelayStation, QTwoNeverDegrades) {
     }
     EXPECT_GE(core::fixed_qs_mst(lis, 2), lis::ideal_mst(lis));
   }
+}
+
+/// classify() as its definition reads: each predicate on its own
+/// biconnected decomposition.
+graph::TopologyClass classify_by_definition(const graph::Digraph& g) {
+  if (graph::is_underlying_forest(g)) return graph::TopologyClass::kTree;
+  if (graph::has_reconvergent_paths(g)) return graph::TopologyClass::kGeneral;
+  return graph::is_strongly_connected(g) ? graph::TopologyClass::kCactusScc
+                                         : graph::TopologyClass::kNetworkOfCactusSccs;
+}
+
+TEST(Classify, OneDecompositionMatchesTheDefinition) {
+  std::map<graph::TopologyClass, int> seen;
+  const auto check = [&](const lis::LisGraph& lis, const std::string& name) {
+    const graph::TopologyClass c = graph::classify(lis.structure());
+    EXPECT_EQ(c, classify_by_definition(lis.structure())) << name;
+    ++seen[c];
+  };
+  for (int i = 0; i < 20; ++i) {
+    const std::string file = "sys" + std::to_string(i) + ".lis";
+    check(lis::load_netlist(std::string(LID_DATA_DIR) + "/corpus/" + file), file);
+  }
+  for (const char* file : {"fig1.lis", "fig15.lis", "cofdm.lis"}) {
+    check(lis::load_netlist(std::string(LID_DATA_DIR) + "/" + file), file);
+  }
+  util::Rng rng(21);
+  for (int k = 0; k < 400; ++k) {
+    const std::string name = "generated #" + std::to_string(k);
+    switch (k % 4) {
+      case 0: {
+        gen::GeneratorParams params;
+        params.vertices = rng.uniform_int(1, 30);
+        params.sccs = rng.uniform_int(1, params.vertices);
+        params.min_cycles = rng.uniform_int(0, 3);
+        params.reconvergent = rng.uniform_int(0, 1) == 1;
+        params.policy = gen::RsPolicy::kAny;
+        params.relay_stations = params.vertices > 1 ? rng.uniform_int(0, 5) : 0;
+        check(gen::generate(params, rng), name);
+        break;
+      }
+      case 1: check(gen::generate_tree(rng.uniform_int(1, 20), 0, rng), name); break;
+      case 2:
+        check(gen::generate_cactus(rng.uniform_int(1, 5), rng.uniform_int(2, 5), 0, rng), name);
+        break;
+      default:
+        check(gen::generate_mesh(rng.uniform_int(1, 4), rng.uniform_int(1, 4), 0, rng), name);
+    }
+  }
+  // Every class shows up, so each branch of classify() was compared.
+  EXPECT_EQ(seen.size(), 4U);
 }
 
 TEST(GeneralTopology, CanDegrade) {

@@ -99,6 +99,41 @@ TEST_P(CertifyGenerated, GeneratedSystemsCertify) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CertifyGenerated,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
+/// A pipelined core keeps the SCC collapse off, so the lazy sizer works on
+/// d[G] itself and the certificate carries its constraint section; the
+/// critical cycles then pass through pipeline-stage places, which belong to
+/// no channel. Such a place must neither be taken for a queue nor index the
+/// channel tables.
+TEST(Certificates, PipelinedCoresCertifyWithConstraintSections) {
+  util::Rng rng(21);
+  std::size_t stage_places_on_constraints = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    gen::GeneratorParams params;
+    params.vertices = rng.uniform_int(6, 30);
+    params.sccs = rng.uniform_int(1, 4);
+    params.min_cycles = rng.uniform_int(0, 4);
+    params.relay_stations = rng.uniform_int(1, 15);
+    params.policy = gen::RsPolicy::kAny;
+    lis::LisGraph lis = gen::generate(params, rng);
+    lis.set_core_latency(0, rng.uniform_int(2, 3));
+    expect_certifiable(lis);
+
+    core::QsOptions options;
+    options.method = core::QsMethod::kLazy;
+    const Certificate sizing = core::certify_sizing(lis, core::size_queues(lis, options));
+    const lis::Expansion doubled = lis::expand_doubled(lis);
+    for (const DeficitConstraint& dc : sizing.constraints) {
+      for (const std::int64_t p : dc.cycle) {
+        if (doubled.place_channel[static_cast<std::size_t>(p)] == graph::kInvalidEdge) {
+          ++stage_places_on_constraints;
+        }
+      }
+    }
+  }
+  EXPECT_GT(stage_places_on_constraints, 0u) << "no constraint crossed a pipeline stage";
+}
+
 TEST(Certificates, AcyclicIdealExpansionCertifies) {
   lis::LisGraph chain;
   chain.add_core("a");
