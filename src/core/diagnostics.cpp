@@ -61,8 +61,7 @@ DegradationReport explain_practical(const lis::LisGraph& lis, const lis::Expansi
     std::ostringstream os;
     os << g.transition_name(g.producer(p)) << (hop.backward ? " ~> " : " -> ")
        << g.transition_name(g.consumer(p));
-    if (hop.backward && hop.channel != graph::kInvalidEdge &&
-        p == doubled.queue_place(hop.channel)) {
+    if (doubled.is_queue_place(p)) {
       os << " (queue backedge, capacity " << lis.channel(hop.channel).queue_capacity << ")";
     }
     hop.description = os.str();

@@ -77,15 +77,6 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
   const lis::Expansion expansion = lis::expand_doubled(target);
   mg::MarkedGraph work = expansion.graph;  // mutable marking; structure fixed
 
-  // Queue backedge place <-> channel (in `target` numbering).
-  std::map<mg::PlaceId, ChannelId> queue_place_of;
-  std::vector<mg::PlaceId> queue_place_by_channel(target.num_channels(), graph::kInvalidEdge);
-  for (ChannelId ch = 0; ch < static_cast<ChannelId>(target.num_channels()); ++ch) {
-    const mg::PlaceId qp = expansion.queue_place(ch);
-    queue_place_of.emplace(qp, ch);
-    queue_place_by_channel[static_cast<std::size_t>(ch)] = qp;
-  }
-
   const Rational theta = report.problem.theta_target;
   mg::Workspace local_workspace;
   mg::Workspace& mcm = workspace != nullptr ? *workspace : local_workspace;
@@ -127,8 +118,9 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
         pristine_tokens, static_cast<std::int64_t>(critical.cycle.size()), theta);
     cycle_channels.clear();
     for (const mg::PlaceId p : critical.cycle) {
-      const auto it = queue_place_of.find(p);
-      if (it != queue_place_of.end()) cycle_channels.push_back(it->second);
+      if (expansion.is_queue_place(p)) {
+        cycle_channels.push_back(expansion.place_channel[static_cast<std::size_t>(p)]);
+      }
     }
     std::sort(cycle_channels.begin(), cycle_channels.end());
     cycle_channels.erase(std::unique(cycle_channels.begin(), cycle_channels.end()),
@@ -168,8 +160,9 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
       dc.cycle.reserve(critical.cycle.size());
       for (const mg::PlaceId p : critical.cycle) {
         dc.cycle.push_back(static_cast<std::int64_t>(p));
-        const auto it = queue_place_of.find(p);
-        if (it != queue_place_of.end()) dc.channels.push_back(it->second);
+        if (expansion.is_queue_place(p)) {
+          dc.channels.push_back(expansion.place_channel[static_cast<std::size_t>(p)]);
+        }
       }
       report.lazy_constraints.push_back(std::move(dc));
     }
@@ -199,8 +192,7 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
 
     // Re-marking: every sized queue gets pristine tokens + its weight.
     for (std::size_t s = 0; s < weights.size(); ++s) {
-      const mg::PlaceId qp =
-          queue_place_by_channel[static_cast<std::size_t>(target_channels[s])];
+      const mg::PlaceId qp = expansion.queue_place(target_channels[s]);
       work.set_tokens(qp, expansion.graph.tokens(qp) + weights[s]);
     }
   }

@@ -116,12 +116,6 @@ QsProblem build_qs_problem_with_mst(const LisGraph& lis, const Rational& theta_i
   const lis::Expansion expansion = lis::expand_doubled(target);
   const mg::MarkedGraph& dg = expansion.graph;
 
-  // Queue place -> channel (in `target` numbering).
-  std::map<mg::PlaceId, ChannelId> queue_place_of;
-  for (ChannelId ch = 0; ch < static_cast<ChannelId>(target.num_channels()); ++ch) {
-    queue_place_of.emplace(expansion.queue_place(ch), ch);
-  }
-
   // Candidate channel -> TD set index, assigned on first sighting.
   std::map<ChannelId, int> set_of_channel;
   std::vector<ChannelId> target_channels;
@@ -156,8 +150,9 @@ QsProblem build_qs_problem_with_mst(const LisGraph& lis, const Rational& theta_i
         RawCycle rc;
         rc.deficit = deficit;
         for (const graph::EdgeId p : cycle) {
-          const auto it = queue_place_of.find(p);
-          if (it != queue_place_of.end()) rc.queue_channels.push_back(it->second);
+          if (expansion.is_queue_place(p)) {
+            rc.queue_channels.push_back(expansion.place_channel[static_cast<std::size_t>(p)]);
+          }
         }
         LID_ASSERT(!rc.queue_channels.empty(),
                    "degrading cycle without a sizable queue backedge");

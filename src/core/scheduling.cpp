@@ -54,7 +54,7 @@ StaticSchedule compute_static_schedule(const lis::LisGraph& lis, std::size_t max
   // delivery place (the forward hop into the destination shell).
   schedule.required_queues.reserve(lis.num_channels());
   for (lis::ChannelId c = 0; c < static_cast<lis::ChannelId>(lis.num_channels()); ++c) {
-    const mg::PlaceId delivery = ex.forward_places[static_cast<std::size_t>(c)].back();
+    const mg::PlaceId delivery = ex.forward_places(c).back();
     schedule.required_queues.push_back(
         std::max<std::int64_t>(1, sim.max_tokens[static_cast<std::size_t>(delivery)]));
   }

@@ -16,7 +16,7 @@ std::vector<ChannelStorage> storage_bounds(const lis::LisGraph& lis,
   for (lis::ChannelId c = 0; c < static_cast<lis::ChannelId>(lis.num_channels()); ++c) {
     const lis::Channel& ch = lis.channel(c);
     // The delivery place is the last forward hop (into the destination shell).
-    const mg::PlaceId delivery = expansion.forward_places[static_cast<std::size_t>(c)].back();
+    const mg::PlaceId delivery = expansion.forward_places(c).back();
     const auto bound = mg::place_bound(expansion.graph, delivery);
     // Backpressure puts every forward place on a cycle with its channel's
     // queue backedge, so the bound always exists in a doubled expansion.

@@ -211,11 +211,10 @@ void Simulator::init_config() {
       dist = *opt_.profile.channel_latency[static_cast<std::size_t>(c)];
     }
     if (!dist.is_deterministic()) deterministic_ = false;
-    for (const mg::PlaceId p : x_.forward_places[static_cast<std::size_t>(c)]) {
+    for (const mg::PlaceId p : x_.forward_places(c)) {
       place_dist_[static_cast<std::size_t>(p)] = dist;
     }
-    queue_of_place_[static_cast<std::size_t>(
-        x_.forward_places[static_cast<std::size_t>(c)].back())] = c;
+    queue_of_place_[static_cast<std::size_t>(x_.forward_places(c).back())] = c;
   }
 
   // Open-system sources: in-degree-0 cores with a non-saturated arrival spec.
@@ -399,7 +398,7 @@ void Simulator::fire(mg::TransitionId t, std::int64_t now) {
 
 void Simulator::note_occupancy(lis::ChannelId ch, std::int64_t now) {
   const std::size_t ci = static_cast<std::size_t>(ch);
-  const mg::PlaceId qp = x_.forward_places[ci].back();
+  const mg::PlaceId qp = x_.forward_places(ch).back();
   const std::int64_t value = avail_[static_cast<std::size_t>(qp)];
   if (value == occ_value_[ci]) return;
   const std::int64_t begin = std::max(occ_since_[ci], opt_.warmup);
@@ -587,8 +586,8 @@ void Simulator::finalize(SimReport& report) const {
     stats.relay_stations = chan.relay_stations;
     stats.tokens_in = produced_[ci];
     stats.tokens_out = consumed_[ci];
-    stats.in_flight =
-        static_cast<std::int64_t>(tokens_[static_cast<std::size_t>(x_.forward_places[ci].back())].size());
+    const mg::PlaceId delivery = x_.forward_places(c).back();
+    stats.in_flight = static_cast<std::int64_t>(tokens_[static_cast<std::size_t>(delivery)].size());
     stats.stall_events = stall_events_[ci];
     stats.stall_cycles = stall_cycles_[ci];
     stats.histogram = histogram_[ci];

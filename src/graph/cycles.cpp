@@ -65,18 +65,19 @@ class JohnsonEnumerator {
     // Build the induced subgraph over vertices >= s. Node v of g maps to
     // v - s in the subgraph.
     const auto n = static_cast<NodeId>(g_.num_nodes());
-    Digraph sub(static_cast<std::size_t>(n - s));
+    std::vector<Edge> arcs;
     bool s_has_relevant_edge = false;
     for (NodeId v = s; v < n; ++v) {
       for (const EdgeId e : g_.out_edges(v)) {
         const NodeId w = g_.edge(e).dst;
         if (w < s || !allowed(e)) continue;
-        sub.add_edge(v - s, w - s);
+        arcs.push_back(Edge{v - s, w - s});
         if (v == s || w == s) s_has_relevant_edge = true;
       }
     }
     if (!s_has_relevant_edge) return;
 
+    const Digraph sub(static_cast<std::size_t>(n - s), std::move(arcs));
     const SccPartition part = scc(sub);
     const int cs = part.comp_of[0];  // component of s (node 0 in sub)
     const bool cyclic = part.is_cyclic(cs, sub);

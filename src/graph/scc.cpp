@@ -89,16 +89,17 @@ SccPartition scc(const Digraph& g) {
 Condensation condense(const Digraph& g) {
   Condensation c;
   c.partition = scc(g);
-  c.dag = Digraph(static_cast<std::size_t>(c.partition.count));
+  std::vector<Edge> arcs;
   for (EdgeId e = 0; e < static_cast<EdgeId>(g.num_edges()); ++e) {
     const Edge& edge = g.edge(e);
     const int cs = c.partition.comp_of[static_cast<std::size_t>(edge.src)];
     const int cd = c.partition.comp_of[static_cast<std::size_t>(edge.dst)];
     if (cs != cd) {
-      c.dag.add_edge(static_cast<NodeId>(cs), static_cast<NodeId>(cd));
+      arcs.push_back(Edge{static_cast<NodeId>(cs), static_cast<NodeId>(cd)});
       c.edge_origin.push_back(e);
     }
   }
+  c.dag = Digraph(static_cast<std::size_t>(c.partition.count), std::move(arcs));
   return c;
 }
 

@@ -186,16 +186,17 @@ bool scc_is_cactus(const Digraph& g, const std::vector<NodeId>& members) {
   for (std::size_t i = 0; i < members.size(); ++i) {
     remap[static_cast<std::size_t>(members[i])] = static_cast<NodeId>(i);
   }
-  Digraph sub(members.size());
+  std::vector<Edge> arcs;
   for (const NodeId v : members) {
     for (const EdgeId e : g.out_edges(v)) {
       const NodeId w = g.edge(e).dst;
       if (remap[static_cast<std::size_t>(w)] != kInvalidNode) {
-        sub.add_edge(remap[static_cast<std::size_t>(v)], remap[static_cast<std::size_t>(w)]);
+        arcs.push_back(
+            Edge{remap[static_cast<std::size_t>(v)], remap[static_cast<std::size_t>(w)]});
       }
     }
   }
-  return !has_reconvergent_paths(sub);
+  return !has_reconvergent_paths(Digraph(members.size(), std::move(arcs)));
 }
 
 TopologyClass classify(const Digraph& g) {

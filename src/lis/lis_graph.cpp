@@ -1,6 +1,9 @@
 #include "lis/lis_graph.hpp"
 
+#include <limits>
+
 #include "mg/mcm.hpp"
+#include "util/split.hpp"
 
 namespace lid::lis {
 
@@ -69,18 +72,60 @@ int LisGraph::total_relay_stations() const {
 
 namespace {
 
+// One pass: count every transition and place, then fill flat arrays in id
+// order and build the marked graph from them (the layout is documented on
+// Expansion).
 Expansion expand(const LisGraph& lis, bool with_backedges) {
+  const std::size_t cores = lis.num_cores();
+  const std::size_t channels = lis.num_channels();
+  const std::size_t per_hop = with_backedges ? 2 : 1;
+  std::size_t num_transitions = 0;
+  std::size_t num_places = 0;
+  for (CoreId v = 0; v < static_cast<CoreId>(cores); ++v) {
+    const auto latency = static_cast<std::size_t>(lis.core_latency(v));
+    num_transitions += latency;
+    num_places += (latency - 1) * per_hop;
+  }
+  const std::size_t first_relay = num_transitions;
+  for (ChannelId c = 0; c < static_cast<ChannelId>(channels); ++c) {
+    const auto rs = static_cast<std::size_t>(lis.channel(c).relay_stations);
+    num_transitions += rs;
+    num_places += (rs + 1) * per_hop;
+  }
+  constexpr std::size_t kMaxIds = std::numeric_limits<mg::PlaceId>::max();
+  LID_ENSURE(num_transitions <= kMaxIds && num_places <= kMaxIds,
+             "expansion exceeds 32-bit transition or place ids");
+
+  std::vector<mg::TransitionKind> kinds;
+  std::vector<std::string> names;
+  std::vector<graph::Edge> arcs;
+  std::vector<std::int64_t> tokens;
+  std::vector<mg::PlaceKind> place_kinds;
+  kinds.reserve(num_transitions);
+  names.reserve(num_transitions);
+  arcs.reserve(num_places);
+  tokens.reserve(num_places);
+  place_kinds.reserve(num_places);
+  const auto add_place = [&](mg::TransitionId src, mg::TransitionId dst, std::int64_t tok,
+                             mg::PlaceKind kind) {
+    arcs.push_back(graph::Edge{src, dst});
+    tokens.push_back(tok);
+    place_kinds.push_back(kind);
+  };
+
   Expansion out;
-  out.core_transition.reserve(lis.num_cores());
-  out.core_output_transition.reserve(lis.num_cores());
-  for (CoreId v = 0; v < static_cast<CoreId>(lis.num_cores()); ++v) {
+  out.doubled = with_backedges;
+  out.core_transition.reserve(cores);
+  out.core_output_transition.reserve(cores);
+  for (CoreId v = 0; v < static_cast<CoreId>(cores); ++v) {
     const int latency = lis.core_latency(v);
+    const auto first = static_cast<mg::TransitionId>(kinds.size());
     if (latency == 1) {
       // A simple core: one shell transition is both input and output stage.
-      const mg::TransitionId t =
-          out.graph.add_transition(mg::TransitionKind::kShell, lis.core_name(v));
-      out.core_transition.push_back(t);
-      out.core_output_transition.push_back(t);
+      kinds.push_back(mg::TransitionKind::kShell);
+      names.push_back(lis.core_name(v));
+      out.core_transition.push_back(first);
+      out.core_output_transition.push_back(first);
       continue;
     }
     // A pipelined core (footnote 3): the input stage AND-fires on the input
@@ -89,56 +134,63 @@ Expansion expand(const LisGraph& lis, bool with_backedges) {
     // In the doubled graph every internal stage is elastic with twofold
     // capacity (like a relay station's master/slave pair), which keeps the
     // pipeline bounded without throttling it below one item per period.
-    const mg::TransitionId in =
-        out.graph.add_transition(mg::TransitionKind::kPipelineStage, lis.core_name(v) + ".in");
-    mg::TransitionId prev = in;
-    std::vector<mg::TransitionId> internal_chain{in};
+    // Its stages are transitions first .. first + L - 1: in, p1 .. p(L-2),
+    // then the output shell.
+    kinds.push_back(mg::TransitionKind::kPipelineStage);
+    names.push_back(lis.core_name(v) + ".in");
     for (int stage = 1; stage + 1 < latency; ++stage) {
-      const mg::TransitionId mid = out.graph.add_transition(
-          mg::TransitionKind::kPipelineStage,
-          lis.core_name(v) + ".p" + std::to_string(stage));
-      out.graph.add_place(prev, mid, 0, mg::PlaceKind::kForward);
-      prev = mid;
-      internal_chain.push_back(mid);
+      kinds.push_back(mg::TransitionKind::kPipelineStage);
+      std::string& name = names.emplace_back(lis.core_name(v));
+      name += ".p";
+      util::append_decimal(name, stage);
     }
-    const mg::TransitionId outp =
-        out.graph.add_transition(mg::TransitionKind::kShell, lis.core_name(v));
-    out.graph.add_place(prev, outp, 0, mg::PlaceKind::kForward);
-    internal_chain.push_back(outp);
+    kinds.push_back(mg::TransitionKind::kShell);
+    names.push_back(lis.core_name(v));
+    const mg::TransitionId outp = first + latency - 1;
+    for (mg::TransitionId t = first; t < outp; ++t) {
+      add_place(t, t + 1, 0, mg::PlaceKind::kForward);
+    }
     if (with_backedges) {
-      for (std::size_t hop = 0; hop + 1 < internal_chain.size(); ++hop) {
-        out.graph.add_place(internal_chain[hop + 1], internal_chain[hop], 2,
-                            mg::PlaceKind::kBackward);
+      for (mg::TransitionId t = first; t < outp; ++t) {
+        add_place(t + 1, t, 2, mg::PlaceKind::kBackward);
       }
     }
-    out.core_transition.push_back(in);
+    out.core_transition.push_back(first);
     out.core_output_transition.push_back(outp);
   }
-  out.forward_places.resize(lis.num_channels());
-  out.backward_places.resize(lis.num_channels());
 
-  for (ChannelId c = 0; c < static_cast<ChannelId>(lis.num_channels()); ++c) {
+  out.place_channel.assign(arcs.size(), graph::kInvalidEdge);
+  out.place_channel.reserve(num_places);
+  out.channel_place.reserve(channels + 1);
+  auto next_relay = static_cast<mg::TransitionId>(first_relay);
+  std::string prefix;
+  for (ChannelId c = 0; c < static_cast<ChannelId>(channels); ++c) {
     const Channel& ch = lis.channel(c);
     // Transition chain along the channel: src core's output stage, relay
     // stations, dst core's input stage.
-    std::vector<mg::TransitionId> chain;
-    chain.push_back(out.core_output_transition[static_cast<std::size_t>(ch.src)]);
-    for (int r = 0; r < ch.relay_stations; ++r) {
-      chain.push_back(out.graph.add_transition(
-          mg::TransitionKind::kRelayStation,
-          lis.core_name(ch.src) + "->" + lis.core_name(ch.dst) + ".rs" + std::to_string(r)));
+    const mg::TransitionId src = out.core_output_transition[static_cast<std::size_t>(ch.src)];
+    const mg::TransitionId dst = out.core_transition[static_cast<std::size_t>(ch.dst)];
+    const mg::TransitionId rs0 = next_relay;
+    const auto chain = [&](int hop) {
+      return hop == 0 ? src : hop <= ch.relay_stations ? rs0 + hop - 1 : dst;
+    };
+    if (ch.relay_stations > 0) {
+      prefix = lis.core_name(ch.src);
+      prefix += "->";
+      prefix += lis.core_name(ch.dst);
+      prefix += ".rs";
     }
-    chain.push_back(out.core_transition[static_cast<std::size_t>(ch.dst)]);
+    for (int r = 0; r < ch.relay_stations; ++r) {
+      kinds.push_back(mg::TransitionKind::kRelayStation);
+      util::append_decimal(names.emplace_back(prefix), r);
+    }
+    next_relay += ch.relay_stations;
 
-    auto& fwd = out.forward_places[static_cast<std::size_t>(c)];
-    auto& back = out.backward_places[static_cast<std::size_t>(c)];
-    for (std::size_t hop = 0; hop + 1 < chain.size(); ++hop) {
-      const mg::TransitionId producer = chain[hop];
-      const mg::TransitionId consumer = chain[hop + 1];
+    out.channel_place.push_back(static_cast<mg::PlaceId>(arcs.size()));
+    for (int hop = 0; hop <= ch.relay_stations; ++hop) {
       const bool producer_is_shell =
-          out.graph.transition_kind(producer) == mg::TransitionKind::kShell;
-      fwd.push_back(out.graph.add_place(producer, consumer, producer_is_shell ? 1 : 0,
-                                        mg::PlaceKind::kForward));
+          kinds[static_cast<std::size_t>(chain(hop))] == mg::TransitionKind::kShell;
+      add_place(chain(hop), chain(hop + 1), producer_is_shell ? 1 : 0, mg::PlaceKind::kForward);
     }
     if (with_backedges) {
       // Backpressure per Fig. 3 and Sec. III-B. Each relay station has a
@@ -153,26 +205,17 @@ Expansion expand(const LisGraph& lis, bool with_backedges) {
       // (Sec. IV), the NP-reduction's edge-construct cycle has mean 4/6
       // (Fig. 12), and the Table VI cycle means come out to 5/7 and 4/6.
       for (int r = 0; r < ch.relay_stations; ++r) {
-        const mg::TransitionId rs = chain[static_cast<std::size_t>(r) + 1];
-        const mg::TransitionId upstream = chain[static_cast<std::size_t>(r)];
-        back.push_back(out.graph.add_place(rs, upstream, 2, mg::PlaceKind::kBackward));
+        add_place(chain(r + 1), chain(r), 2, mg::PlaceKind::kBackward);
       }
-      back.push_back(out.graph.add_place(
-          chain.back(), chain.front(),
-          static_cast<std::int64_t>(ch.queue_capacity) + 2 * ch.relay_stations,
-          mg::PlaceKind::kBackward));
+      add_place(dst, src, static_cast<std::int64_t>(ch.queue_capacity) + 2 * ch.relay_stations,
+                mg::PlaceKind::kBackward);
     }
+    out.place_channel.resize(arcs.size(), c);
   }
+  out.channel_place.push_back(static_cast<mg::PlaceId>(arcs.size()));
 
-  out.place_channel.assign(out.graph.num_places(), graph::kInvalidEdge);
-  for (ChannelId c = 0; c < static_cast<ChannelId>(lis.num_channels()); ++c) {
-    for (const mg::PlaceId p : out.forward_places[static_cast<std::size_t>(c)]) {
-      out.place_channel[static_cast<std::size_t>(p)] = c;
-    }
-    for (const mg::PlaceId p : out.backward_places[static_cast<std::size_t>(c)]) {
-      out.place_channel[static_cast<std::size_t>(p)] = c;
-    }
-  }
+  out.graph = mg::MarkedGraph(std::move(kinds), std::move(names), std::move(arcs),
+                              std::move(tokens), std::move(place_kinds));
   return out;
 }
 

@@ -10,7 +10,9 @@
 //                                per hop (finite queues, Sec. III-D).
 #pragma once
 
+#include <ranges>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -88,7 +90,16 @@ class LisGraph {
 
 /// A marked graph expanded from a LisGraph, with the maps needed to relate
 /// places back to channels.
+///
+/// Place ids are laid out core by core, then channel by channel. A pipelined
+/// core's internal places come first. Channel ch then owns the consecutive
+/// ids [channel_place[ch], channel_place[ch + 1]): its relay_stations + 1
+/// forward hops, then, in d[G], its relay-station backedges and its queue
+/// backedge. Transitions are every core's stages in core order, then every
+/// channel's relay stations in channel order.
 struct Expansion {
+  using PlaceRun = std::ranges::iota_view<mg::PlaceId, mg::PlaceId>;
+
   mg::MarkedGraph graph;
 
   /// Input (AND-firing) transition of each core — for a simple core the one
@@ -100,26 +111,50 @@ struct Expansion {
   /// Channels leave from here, and queue backedges return here.
   std::vector<mg::TransitionId> core_output_transition;
 
-  /// forward_places[ch][i] = i-th forward hop of channel ch, from the source
-  /// shell through its relay stations to the destination shell
-  /// (relay_stations + 1 hops).
-  std::vector<std::vector<mg::PlaceId>> forward_places;
+  /// First place of each channel, plus one past the last (num_channels + 1
+  /// entries).
+  std::vector<mg::PlaceId> channel_place;
+
+  /// True for d[G] (backpressure places present), false for G.
+  bool doubled = false;
+
+  /// Channel that produced each place (indexed by PlaceId); kInvalidEdge for
+  /// a pipelined core's internal places.
+  std::vector<ChannelId> place_channel;
+
+  /// Forward hops of channel ch, from the source shell through its relay
+  /// stations to the destination shell (relay_stations + 1 places).
+  [[nodiscard]] PlaceRun forward_places(ChannelId ch) const {
+    const auto [first, last] = run_of(ch);
+    return PlaceRun(first, doubled ? first + (last - first) / 2 : last);
+  }
 
   /// Backpressure places of channel ch; empty for ideal expansions. Entries
   /// 0..rs-1 are the hop-level relay-station backedges (relay station i back
   /// to its upstream element, 2 tokens each — fixed hardware capacity); the
   /// last entry is the channel-level input-queue backedge (destination shell
   /// back to the source shell, q tokens — the only one a designer can size).
-  std::vector<std::vector<mg::PlaceId>> backward_places;
-
-  /// Channel that produced each place (indexed by PlaceId).
-  std::vector<ChannelId> place_channel;
+  [[nodiscard]] PlaceRun backward_places(ChannelId ch) const {
+    const auto [first, last] = run_of(ch);
+    return PlaceRun(doubled ? first + (last - first) / 2 : last, last);
+  }
 
   /// The input-queue backpressure place of channel ch, or kInvalidEdge for
   /// ideal expansions.
   [[nodiscard]] mg::PlaceId queue_place(ChannelId ch) const {
-    const auto& back = backward_places[static_cast<std::size_t>(ch)];
-    return back.empty() ? graph::kInvalidEdge : back.back();
+    return doubled ? run_of(ch).second - 1 : graph::kInvalidEdge;
+  }
+
+  /// True when place p is the queue backedge of the channel that produced it.
+  [[nodiscard]] bool is_queue_place(mg::PlaceId p) const {
+    const ChannelId ch = place_channel[static_cast<std::size_t>(p)];
+    return ch != graph::kInvalidEdge && queue_place(ch) == p;
+  }
+
+ private:
+  [[nodiscard]] std::pair<mg::PlaceId, mg::PlaceId> run_of(ChannelId ch) const {
+    const auto c = static_cast<std::size_t>(ch);
+    return {channel_place[c], channel_place[c + 1]};
   }
 };
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -84,22 +83,40 @@ class NameIndex {
 }  // namespace
 
 std::string to_text(const LisGraph& lis) {
-  std::ostringstream os;
-  os << "# latency-insensitive system: " << lis.num_cores() << " cores, " << lis.num_channels()
-     << " channels\n";
+  // One buffer, reserved up front: the header is at most 108 bytes, a core
+  // line its name plus at most 26 ("core ", " latency=", ten digits, "\n"),
+  // a channel line its two names plus at most 40.
+  std::size_t bytes = 108;
   for (CoreId v = 0; v < static_cast<CoreId>(lis.num_cores()); ++v) {
-    os << "core " << lis.core_name(v);
-    if (lis.core_latency(v) != 1) os << " latency=" << lis.core_latency(v);
-    os << "\n";
+    bytes += lis.core_name(v).size() + 26;
   }
   for (ChannelId c = 0; c < static_cast<ChannelId>(lis.num_channels()); ++c) {
     const Channel& ch = lis.channel(c);
-    os << "channel " << lis.core_name(ch.src) << " -> " << lis.core_name(ch.dst);
-    if (ch.relay_stations != 0) os << " rs=" << ch.relay_stations;
-    if (ch.queue_capacity != 1) os << " q=" << ch.queue_capacity;
-    os << "\n";
+    bytes += lis.core_name(ch.src).size() + lis.core_name(ch.dst).size() + 40;
   }
-  return os.str();
+  std::string text;
+  text.reserve(bytes);
+  const auto number = [&text](std::string_view before, auto value, std::string_view after) {
+    text.append(before);
+    util::append_decimal(text, value);
+    text.append(after);
+  };
+  number("# latency-insensitive system: ", lis.num_cores(), " cores, ");
+  number("", lis.num_channels(), " channels\n");
+  for (CoreId v = 0; v < static_cast<CoreId>(lis.num_cores()); ++v) {
+    text.append("core ").append(lis.core_name(v));
+    if (lis.core_latency(v) != 1) number(" latency=", lis.core_latency(v), "");
+    text += '\n';
+  }
+  for (ChannelId c = 0; c < static_cast<ChannelId>(lis.num_channels()); ++c) {
+    const Channel& ch = lis.channel(c);
+    text.append("channel ").append(lis.core_name(ch.src)).append(" -> ");
+    text.append(lis.core_name(ch.dst));
+    if (ch.relay_stations != 0) number(" rs=", ch.relay_stations, "");
+    if (ch.queue_capacity != 1) number(" q=", ch.queue_capacity, "");
+    text += '\n';
+  }
+  return text;
 }
 
 LisGraph from_text(const std::string& text) {

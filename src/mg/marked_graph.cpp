@@ -6,6 +6,24 @@
 
 namespace lid::mg {
 
+MarkedGraph::MarkedGraph(std::vector<TransitionKind> kinds, std::vector<std::string> names,
+                         std::vector<graph::Edge> places, std::vector<std::int64_t> tokens,
+                         std::vector<PlaceKind> place_kinds)
+    : structure_(kinds.size(), std::move(places)),
+      tokens_(std::move(tokens)),
+      place_kinds_(std::move(place_kinds)),
+      kinds_(std::move(kinds)),
+      names_(std::move(names)) {
+  LID_ENSURE(names_.size() == kinds_.size(), "MarkedGraph: one name per transition");
+  LID_ENSURE(tokens_.size() == structure_.num_edges() &&
+                 place_kinds_.size() == structure_.num_edges(),
+             "MarkedGraph: one token count and kind per place");
+  for (const std::int64_t t : tokens_) LID_ENSURE(t >= 0, "MarkedGraph: negative token count");
+  for (std::size_t t = 0; t < names_.size(); ++t) {
+    if (names_[t].empty()) names_[t] = "t" + std::to_string(t);
+  }
+}
+
 TransitionId MarkedGraph::add_transition(TransitionKind kind, std::string name) {
   const TransitionId t = structure_.add_node();
   kinds_.push_back(kind);

@@ -41,6 +41,15 @@ class MarkedGraph {
  public:
   MarkedGraph() = default;
 
+  /// Builds the graph in one pass from flat arrays: transition t has kind
+  /// kinds[t] and name names[t] (an empty name becomes "t<id>", as in
+  /// add_transition), and place p runs places[p].src -> places[p].dst with
+  /// tokens[p] tokens and kind place_kinds[p] — the graph the add_* calls
+  /// would build in the same order.
+  MarkedGraph(std::vector<TransitionKind> kinds, std::vector<std::string> names,
+              std::vector<graph::Edge> places, std::vector<std::int64_t> tokens,
+              std::vector<PlaceKind> place_kinds);
+
   /// Adds a transition; `name` is used in traces and error messages.
   TransitionId add_transition(TransitionKind kind, std::string name = {});
 

@@ -244,7 +244,7 @@ Rational exact_fallback_cycle(const SccView& view, std::vector<PlaceId>& cycle_o
   // all inequalities hold with equality, so the tight subgraph contains a
   // cycle, and every cycle of the tight subgraph has reduced cost 0, i.e.
   // mean μ.
-  graph::Digraph tight_graph(static_cast<std::size_t>(view.n));
+  std::vector<graph::Edge> tight_arcs;
   std::vector<int> tight_origin;  // tight-graph edge -> view edge
   for (int u = 0; u < view.n; ++u) {
     for (int e = view.offset[static_cast<std::size_t>(u)];
@@ -253,12 +253,13 @@ Rational exact_fallback_cycle(const SccView& view, std::vector<PlaceId>& cycle_o
       if (dist[static_cast<std::size_t>(w)] ==
           dist[static_cast<std::size_t>(u)] +
               static_cast<__int128>(q) * view.weight[static_cast<std::size_t>(e)] - p) {
-        tight_graph.add_edge(u, w);
+        tight_arcs.push_back(graph::Edge{u, w});
         tight_origin.push_back(e);
       }
     }
   }
   cycle_out.clear();
+  const graph::Digraph tight_graph(static_cast<std::size_t>(view.n), std::move(tight_arcs));
   for (const graph::EdgeId te : graph::find_cycle(tight_graph)) {
     cycle_out.push_back(
         view.place[static_cast<std::size_t>(tight_origin[static_cast<std::size_t>(te)])]);
@@ -386,9 +387,9 @@ Rational howard(const SccView& view, std::vector<int>& policy, HowardScratch& sc
     for (int v = 0; v < n; ++v) rank[v] = sc.cycle_rank[static_cast<std::size_t>(cycle_of[v])];
   };
 
-  const long max_iterations = 1000L * n + 1000L;
+  const std::int64_t max_iterations = howard_round_cap(n);
   bool converged = false;
-  for (long iter = 0; iter < max_iterations; ++iter) {
+  for (std::int64_t iter = 0; iter < max_iterations; ++iter) {
     evaluate();
     ++rounds;
     bool improved = false;

@@ -3,12 +3,17 @@
 // The netlist reader (lis/netlist_io) and the `#!` annotation reader
 // (des/annotations) read text the way std::getline and `istream >>` read it
 // in the C locale. These splitters do the same over string_views into the
-// caller's buffer, so no line or token is copied.
+// caller's buffer, so no line or token is copied. append_decimal is the
+// writer's side: the digits `ostream <<` prints for an integer in the C
+// locale, appended without a stream.
 #pragma once
 
+#include <charconv>
 #include <climits>
+#include <concepts>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 namespace lid::util {
@@ -70,6 +75,14 @@ constexpr std::optional<int> parse_netlist_int(std::string_view token) {
   }
   if (negative && value != 0) return std::nullopt;
   return static_cast<int>(value);
+}
+
+/// Appends the decimal digits of `n` (a '-' first when negative) to `out`.
+template <std::integral Int>
+void append_decimal(std::string& out, Int n) {
+  char digits[24];
+  const auto result = std::to_chars(digits, digits + sizeof digits, n);
+  out.append(digits, result.ptr);
 }
 
 }  // namespace lid::util

@@ -155,10 +155,9 @@ CheckResult check_constraint(const lis::Expansion& doubled, const Rational& targ
                                what + ": cycle walk breaks after " + place_str(p));
     }
     tokens += g.tokens(static_cast<mg::PlaceId>(p));
-    // Pipeline-stage places belong to no channel.
-    const lis::ChannelId ch = doubled.place_channel[static_cast<std::size_t>(p)];
-    if (ch != graph::kInvalidEdge && doubled.queue_place(ch) == static_cast<mg::PlaceId>(p)) {
-      queue_channels.push_back(static_cast<std::int64_t>(ch));
+    if (doubled.is_queue_place(static_cast<mg::PlaceId>(p))) {
+      queue_channels.push_back(
+          static_cast<std::int64_t>(doubled.place_channel[static_cast<std::size_t>(p)]));
     }
   }
   // The sizable places on the cycle must be exactly the listed channels,

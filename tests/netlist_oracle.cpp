@@ -100,6 +100,25 @@ ParsedNetlist from_text_with_provenance(const std::string& text, std::string fil
   return out;
 }
 
+std::string to_text(const LisGraph& lis) {
+  std::ostringstream os;
+  os << "# latency-insensitive system: " << lis.num_cores() << " cores, " << lis.num_channels()
+     << " channels\n";
+  for (CoreId v = 0; v < static_cast<CoreId>(lis.num_cores()); ++v) {
+    os << "core " << lis.core_name(v);
+    if (lis.core_latency(v) != 1) os << " latency=" << lis.core_latency(v);
+    os << "\n";
+  }
+  for (ChannelId c = 0; c < static_cast<ChannelId>(lis.num_channels()); ++c) {
+    const Channel& ch = lis.channel(c);
+    os << "channel " << lis.core_name(ch.src) << " -> " << lis.core_name(ch.dst);
+    if (ch.relay_stations != 0) os << " rs=" << ch.relay_stations;
+    if (ch.queue_capacity != 1) os << " q=" << ch.queue_capacity;
+    os << "\n";
+  }
+  return os.str();
+}
+
 }  // namespace lid::lis::oracle
 
 namespace lid::des::oracle {

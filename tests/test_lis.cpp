@@ -56,14 +56,14 @@ TEST(ExpandIdeal, StructureOfPipelinedChannel) {
   // A, B plus two relay-station transitions.
   EXPECT_EQ(ex.graph.num_transitions(), 4u);
   EXPECT_EQ(ex.graph.num_places(), 3u);  // 3 forward hops, no backedges
-  const auto& fwd = ex.forward_places[static_cast<std::size_t>(c)];
+  const auto fwd = ex.forward_places(c);
   ASSERT_EQ(fwd.size(), 3u);
   // First hop carries A's initial output; relay-station hops start void.
   EXPECT_EQ(ex.graph.tokens(fwd[0]), 1);
   EXPECT_EQ(ex.graph.tokens(fwd[1]), 0);
   EXPECT_EQ(ex.graph.tokens(fwd[2]), 0);
   EXPECT_EQ(ex.queue_place(c), graph::kInvalidEdge);
-  EXPECT_TRUE(ex.backward_places[static_cast<std::size_t>(c)].empty());
+  EXPECT_TRUE(ex.backward_places(c).empty());
   // Expansion of an ideal LIS is a valid LIS marked graph.
   EXPECT_NO_THROW(ex.graph.validate_lis_structure());
 }
@@ -74,7 +74,7 @@ TEST(ExpandDoubled, BackedgeTokensFollowThePaperModel) {
   const CoreId b = lis.add_core("B");
   const ChannelId c = lis.add_channel(a, b, 2, 3);
   const Expansion ex = expand_doubled(lis);
-  const auto& back = ex.backward_places[static_cast<std::size_t>(c)];
+  const auto back = ex.backward_places(c);
   ASSERT_EQ(back.size(), 3u);  // 2 relay-station backedges + queue backedge
   // Hop-level relay-station backedges carry their two slots each.
   EXPECT_EQ(ex.graph.tokens(back[0]), 2);

@@ -89,7 +89,20 @@ struct Pair {
   std::vector<int> policy_old;
 };
 
-/// One solve in each kernel from the pair's current policies.
+/// The solve with the most rounds so far, and its component's size.
+struct LargestSolve {
+  std::int64_t rounds = 0;
+  int n = 0;
+};
+LargestSolve largest_solve;
+
+void print_largest_solve() {
+  std::cout << "most rounds in one solve: " << largest_solve.rounds << " on "
+            << largest_solve.n << " nodes\n";
+}
+
+/// One solve in each kernel from the pair's current policies. No solve may
+/// come within ten times of the kernel's round cap.
 ::testing::AssertionResult same_solve(Pair& pair, kernel::HowardScratch& sn,
                                       oracle::HowardScratch& so) {
   std::int64_t rounds_new = 0;
@@ -101,6 +114,12 @@ struct Pair {
   }
   if (rounds_new != rounds_old) {
     return ::testing::AssertionFailure() << "rounds " << rounds_new << " vs " << rounds_old;
+  }
+  if (rounds_new > largest_solve.rounds) largest_solve = {rounds_new, pair.view.n};
+  if (10 * rounds_new > kernel::howard_round_cap(pair.view.n)) {
+    return ::testing::AssertionFailure()
+           << rounds_new << " rounds on " << pair.view.n << " nodes, near the round cap "
+           << kernel::howard_round_cap(pair.view.n);
   }
   if (pair.policy_new != pair.policy_old) return ::testing::AssertionFailure() << "policies differ";
   if (sn.cycle != so.cycle) return ::testing::AssertionFailure() << "critical cycles differ";
@@ -189,10 +208,6 @@ void compare_lazy_rounds(const lis::LisGraph& lis, const std::string& name, std:
   const core::QsOptions options = lazy_options();
   const lis::Expansion pristine = lis::expand_doubled(lis);
   MarkedGraph work = pristine.graph;
-  std::map<PlaceId, lis::ChannelId> channel_of_queue;
-  for (lis::ChannelId ch = 0; ch < static_cast<lis::ChannelId>(lis.num_channels()); ++ch) {
-    channel_of_queue.emplace(pristine.queue_place(ch), ch);
-  }
   std::vector<Pair> pairs = pairs_of(work);
   kernel::HowardScratch sn;
   oracle::HowardScratch so;
@@ -224,8 +239,9 @@ void compare_lazy_rounds(const lis::LisGraph& lis, const std::string& name, std:
                             static_cast<std::int64_t>(a.cycle.size()), theta);
     std::vector<lis::ChannelId> on_cycle;
     for (const PlaceId p : a.cycle) {
-      const auto it = channel_of_queue.find(p);
-      if (it != channel_of_queue.end()) on_cycle.push_back(it->second);
+      if (pristine.is_queue_place(p)) {
+        on_cycle.push_back(pristine.place_channel[static_cast<std::size_t>(p)]);
+      }
     }
     std::sort(on_cycle.begin(), on_cycle.end());
     on_cycle.erase(std::unique(on_cycle.begin(), on_cycle.end()), on_cycle.end());
@@ -322,6 +338,7 @@ TEST(McmKernel, PaperSystemsAndCofdm) {
   }
   compare_system(soc::build_cofdm(), "build_cofdm", warm);
   std::cout << "warm solves compared: " << warm << "\n";
+  print_largest_solve();
 }
 
 TEST(McmKernel, Corpus) {
@@ -333,6 +350,7 @@ TEST(McmKernel, Corpus) {
     compare_exact(lis::expand_ideal(lis).graph, file + " G");
   }
   std::cout << "warm solves compared: " << warm << "\n";
+  print_largest_solve();
 }
 
 /// A generated system of one of six shapes; a third of the general ones get
@@ -382,6 +400,7 @@ TEST(McmKernel, GeneratedSystems) {
     if (k % 8 == 0) compare_exact(lis::expand_doubled(lis).graph, name);
   }
   std::cout << "warm solves compared: " << warm << "\n";
+  print_largest_solve();
 }
 
 TEST(McmKernel, MediumGeneratedSystems) {
@@ -399,6 +418,7 @@ TEST(McmKernel, MediumGeneratedSystems) {
     if (::testing::Test::HasFatalFailure()) return;
   }
   std::cout << "warm solves compared: " << warm << "\n";
+  print_largest_solve();
 }
 
 TEST(McmKernel, ThirtyThousandCores) {
@@ -411,6 +431,7 @@ TEST(McmKernel, ThirtyThousandCores) {
   std::int64_t warm = 0;
   compare_system(gen::generate(params, rng), "30,000 cores", warm, 3);
   std::cout << "warm solves compared: " << warm << "\n";
+  print_largest_solve();
 }
 
 /// A ring of n transitions with chords: one SCC, larger than Karp's table

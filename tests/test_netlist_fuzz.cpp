@@ -3,7 +3,10 @@
 // replaced, kept verbatim in netlist_oracle.*. Every corpus file and every
 // seeded, structure-aware mutant of one must read to the same cores, names,
 // latencies, channels, rs, q, provenance lines and profile, or fail with the
-// same exception type and message.
+// same exception type and message. The canonical writer (lis::to_text) is
+// compared with the stream-based writer it replaced on every seed, on
+// pipelined cores, at the largest integers the reader accepts and on the
+// mutants that read cleanly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +21,9 @@
 #include "des/annotations.hpp"
 #include "gen/generator.hpp"
 #include "lis/netlist_io.hpp"
+#include "lis/paper_systems.hpp"
 #include "netlist_oracle.hpp"
+#include "soc/cofdm.hpp"
 #include "util/file.hpp"
 #include "util/rng.hpp"
 #include "util/split.hpp"
@@ -537,6 +542,96 @@ TEST(NetlistFuzz, LargeGeneratedNetlistMatchesOracle) {
     }
   }
   ASSERT_TRUE(readers_agree(noisy));
+}
+
+/// The canonical text of `lis` equals the stream-based writer's, byte for
+/// byte.
+::testing::AssertionResult writers_agree(const lis::LisGraph& lis) {
+  const std::string text = lis::to_text(lis);
+  const std::string expected = lis::oracle::to_text(lis);
+  if (text == expected) return ::testing::AssertionSuccess();
+  const auto at = std::mismatch(text.begin(), text.end(), expected.begin(), expected.end());
+  return ::testing::AssertionFailure()
+         << "canonical text differs at byte " << (at.first - text.begin()) << "\n"
+         << text.substr(0, 200) << "\nvs\n"
+         << expected.substr(0, 200);
+}
+
+TEST(NetlistFuzz, CanonicalTextMatchesOracle) {
+  // Every seed that reads (the corpus, fig1, fig15, COFDM, generated systems
+  // with profiles, the all-attributes netlist), then the paper's builders.
+  int written = 0;
+  for (const std::string& text : seed_texts()) {
+    lis::LisGraph lis;
+    try {
+      lis = lis::from_text(text);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ASSERT_TRUE(writers_agree(lis)) << text.substr(0, 200);
+    ++written;
+  }
+  EXPECT_GT(written, 25);
+  for (const lis::LisGraph& paper :
+       {lis::make_two_core_example(), lis::make_two_core_example_sized(),
+        lis::make_two_core_example_balanced(), lis::make_fig15_counterexample(),
+        soc::build_cofdm()}) {
+    ASSERT_TRUE(writers_agree(paper));
+  }
+  // Pipelined cores, and the largest latency, rs and q the reader accepts.
+  util::Rng rng(kFuzzSeed);
+  for (int k = 0; k < 50; ++k) {
+    gen::GeneratorParams params;
+    params.vertices = rng.uniform_int(2, 30);
+    params.sccs = rng.uniform_int(1, std::min(3, params.vertices));
+    params.min_cycles = rng.uniform_int(0, 3);
+    params.relay_stations = rng.uniform_int(0, 12);
+    params.queue_capacity = rng.uniform_int(1, 3);
+    lis::LisGraph lis;
+    try {
+      lis = gen::generate(params, rng);
+    } catch (const std::invalid_argument&) {
+      continue;  // no channel to carry the relay stations
+    }
+    for (lis::CoreId v = 0; v < static_cast<lis::CoreId>(lis.num_cores()); ++v) {
+      if (rng.flip(0.3)) lis.set_core_latency(v, rng.uniform_int(2, 6));
+    }
+    ASSERT_TRUE(writers_agree(lis)) << "generated #" << k;
+  }
+  const std::string extremes =
+      "core a latency=2147483647\ncore b latency=+1000000000\n"
+      "channel a -> b rs=2147483647 q=2147483647\nchannel b -> a rs=-0 q=0\n"
+      "channel a -> a rs=999999999 q=1\n";
+  const lis::LisGraph big = lis::from_text(extremes);
+  ASSERT_TRUE(writers_agree(big));
+  EXPECT_NE(lis::to_text(big).find("latency=2147483647"), std::string::npos);
+  EXPECT_NE(lis::to_text(big).find("rs=2147483647 q=2147483647"), std::string::npos);
+  // And a large netlist, whose buffer is reserved once.
+  gen::GeneratorParams params;
+  params.vertices = 3000;
+  params.sccs = 20;
+  params.relay_stations = 200;
+  ASSERT_TRUE(writers_agree(gen::generate(params, rng)));
+}
+
+/// Mutants that read cleanly write the oracle's canonical text too.
+TEST(NetlistFuzz, MutantCanonicalTextMatchesOracle) {
+  const std::vector<std::string> seeds = seed_texts();
+  Mutator mutator(kFuzzSeed + 2);
+  util::Rng pick(kFuzzSeed + 3);
+  int written = 0;
+  for (int i = 0; i < kMutants / 3; ++i) {
+    const std::string mutant = mutator.mutate(seeds[pick.uniform_index(seeds.size())]);
+    lis::LisGraph lis;
+    try {
+      lis = lis::from_text(mutant);
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    ASSERT_TRUE(writers_agree(lis)) << "mutant " << i;
+    ++written;
+  }
+  EXPECT_GT(written, kMutants / 30);
 }
 
 TEST(NetlistFuzz, MutantsMatchOracle) {

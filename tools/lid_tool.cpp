@@ -216,14 +216,16 @@ int cmd_size(const util::Cli& cli) {
   if (!sizing.degraded) {
     std::cout << "no degradation: queues are already sufficient\n";
   } else {
+    // Wall-clock times go to stderr, so that stdout is a pure function of
+    // the netlist and the options.
     if (sizing.heuristic_total >= 0) {
-      std::cout << "heuristic: " << sizing.heuristic_total << " extra slot(s) in "
-                << util::Table::fmt(sizing.heuristic_ms, 3) << " ms\n";
+      std::cout << "heuristic: " << sizing.heuristic_total << " extra slot(s)\n";
+      std::cerr << "heuristic solve: " << util::Table::fmt(sizing.heuristic_ms, 3) << " ms\n";
     }
     if (sizing.exact_total >= 0) {
-      std::cout << "exact:     " << sizing.exact_total << " extra slot(s) in "
-                << util::Table::fmt(sizing.exact_ms, 3) << " ms"
+      std::cout << "exact:     " << sizing.exact_total << " extra slot(s)"
                 << (sizing.exact_proved ? "" : "  (timed out — heuristic fallback)") << "\n";
+      std::cerr << "exact solve: " << util::Table::fmt(sizing.exact_ms, 3) << " ms\n";
     }
     if (sizing.solver_lazy) {
       std::cout << "lazy:      " << sizing.lazy_iterations << " separation round(s), "
