@@ -9,24 +9,29 @@ std::vector<ChannelStorage> storage_bounds(const lis::LisGraph& lis) {
   return storage_bounds(lis, lis::expand_doubled(lis));
 }
 
+ChannelStorage channel_storage(const lis::LisGraph& lis, const lis::Expansion& expansion,
+                               lis::ChannelId c) {
+  const lis::Channel& ch = lis.channel(c);
+  // The delivery place is the last forward hop (into the destination shell).
+  const mg::PlaceId delivery = expansion.forward_places(c).back();
+  const auto bound = mg::place_bound(expansion.graph, delivery);
+  // Backpressure puts every forward place on a cycle with its channel's
+  // queue backedge, so the bound always exists in a doubled expansion.
+  LID_ASSERT(bound.has_value(), "doubled-graph delivery place must be bounded");
+  ChannelStorage storage;
+  storage.channel = c;
+  storage.occupancy_bound = *bound;
+  storage.configured_capacity = ch.queue_capacity;
+  storage.relay_stations = ch.relay_stations;
+  return storage;
+}
+
 std::vector<ChannelStorage> storage_bounds(const lis::LisGraph& lis,
                                            const lis::Expansion& expansion) {
   std::vector<ChannelStorage> out;
   out.reserve(lis.num_channels());
   for (lis::ChannelId c = 0; c < static_cast<lis::ChannelId>(lis.num_channels()); ++c) {
-    const lis::Channel& ch = lis.channel(c);
-    // The delivery place is the last forward hop (into the destination shell).
-    const mg::PlaceId delivery = expansion.forward_places(c).back();
-    const auto bound = mg::place_bound(expansion.graph, delivery);
-    // Backpressure puts every forward place on a cycle with its channel's
-    // queue backedge, so the bound always exists in a doubled expansion.
-    LID_ASSERT(bound.has_value(), "doubled-graph delivery place must be bounded");
-    ChannelStorage storage;
-    storage.channel = c;
-    storage.occupancy_bound = *bound;
-    storage.configured_capacity = ch.queue_capacity;
-    storage.relay_stations = ch.relay_stations;
-    out.push_back(storage);
+    out.push_back(channel_storage(lis, expansion, c));
   }
   return out;
 }

@@ -28,6 +28,11 @@ struct ChannelStorage {
   int relay_stations = 0;
 };
 
+/// The bound of channel `c` on `doubled` = lis::expand_doubled(lis): one
+/// place_bound search.
+ChannelStorage channel_storage(const lis::LisGraph& lis, const lis::Expansion& doubled,
+                               lis::ChannelId c);
+
 /// Bounds for every channel of the (finite-queue, backpressured) LIS.
 std::vector<ChannelStorage> storage_bounds(const lis::LisGraph& lis);
 

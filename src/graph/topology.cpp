@@ -1,62 +1,105 @@
 #include "graph/topology.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "graph/scc.hpp"
 
 namespace lid::graph {
 namespace {
 
-/// Undirected view: for every directed edge id we record both endpoints'
-/// incidence. A traversal must not re-use the same edge id it arrived by.
+/// The underlying undirected multigraph, flat: node v's incidences lie in
+/// [begin[v], begin[v + 1]) of `inc`, in edge-id order, each with the
+/// neighbour and the directed edge it comes from. Self-loops are left out
+/// (they are handled separately). A traversal must not re-use the edge id
+/// it arrived by.
 struct UndirectedView {
   struct Incidence {
     NodeId other;
     EdgeId via;
   };
-  std::vector<std::vector<Incidence>> adj;
+  std::vector<int> begin;
+  std::vector<Incidence> inc;
 
-  explicit UndirectedView(const Digraph& g) : adj(g.num_nodes()) {
-    for (EdgeId e = 0; e < static_cast<EdgeId>(g.num_edges()); ++e) {
+  explicit UndirectedView(const Digraph& g) : begin(g.num_nodes() + 1, 0) {
+    const auto edges = static_cast<EdgeId>(g.num_edges());
+    for (EdgeId e = 0; e < edges; ++e) {
       const Edge& edge = g.edge(e);
-      if (edge.src == edge.dst) continue;  // self-loops handled separately
-      adj[static_cast<std::size_t>(edge.src)].push_back({edge.dst, e});
-      adj[static_cast<std::size_t>(edge.dst)].push_back({edge.src, e});
+      if (edge.src == edge.dst) continue;
+      ++begin[static_cast<std::size_t>(edge.src) + 1];
+      ++begin[static_cast<std::size_t>(edge.dst) + 1];
     }
+    for (std::size_t v = 0; v + 1 < begin.size(); ++v) begin[v + 1] += begin[v];
+    inc.resize(static_cast<std::size_t>(begin.back()));
+    // Counting sort: begin[v] walks through v's run, then is shifted back.
+    for (EdgeId e = 0; e < edges; ++e) {
+      const Edge& edge = g.edge(e);
+      if (edge.src == edge.dst) continue;
+      inc[static_cast<std::size_t>(begin[static_cast<std::size_t>(edge.src)]++)] = {edge.dst, e};
+      inc[static_cast<std::size_t>(begin[static_cast<std::size_t>(edge.dst)]++)] = {edge.src, e};
+    }
+    for (std::size_t v = begin.size() - 1; v > 0; --v) begin[v] = begin[v - 1];
+    begin[0] = 0;
   }
 };
 
-/// Hopcroft–Tarjan biconnected components + articulation points, iterative.
-struct BccResult {
-  /// Each BCC as the set of (directed) edge ids it contains. Self-loops are
-  /// excluded (they are trivially directed cycles).
-  std::vector<std::vector<EdgeId>> components;
+/// What the topology predicates need from the biconnected components (BCCs).
+struct BccSummary {
+  bool all_bridges = true;    ///< every BCC is a single edge
+  bool reconvergent = false;  ///< some BCC of two or more edges is not a directed cycle
   std::vector<NodeId> articulation;
 };
 
-BccResult biconnected_components(const Digraph& g) {
+/// Hopcroft–Tarjan biconnected components + articulation points, iterative.
+/// Each BCC is checked where it closes, as a run of the edge stack. A BCC
+/// of two or more edges is one directed simple cycle exactly when every
+/// edge's source has out-degree 1 and in-degree 1 within it and every
+/// edge's head has in-degree 1 (it is connected by construction); the
+/// per-node counters are reset after each BCC.
+BccSummary biconnected_components(const Digraph& g) {
   const UndirectedView view(g);
   const std::size_t n = g.num_nodes();
-  BccResult result;
+  BccSummary result;
 
   std::vector<int> disc(n, -1);
   std::vector<int> low(n, 0);
   std::vector<char> is_articulation(n, 0);
+  std::vector<int> out_count(n, 0);
+  std::vector<int> in_count(n, 0);
   std::vector<EdgeId> edge_stack;
   int time = 0;
 
+  const auto is_directed_cycle = [&](std::size_t first) {
+    for (std::size_t i = first; i < edge_stack.size(); ++i) {
+      const Edge& edge = g.edge(edge_stack[i]);
+      ++out_count[static_cast<std::size_t>(edge.src)];
+      ++in_count[static_cast<std::size_t>(edge.dst)];
+    }
+    bool cycle = true;
+    for (std::size_t i = first; i < edge_stack.size(); ++i) {
+      const Edge& edge = g.edge(edge_stack[i]);
+      const auto src = static_cast<std::size_t>(edge.src);
+      cycle = cycle && out_count[src] == 1 && in_count[src] == 1 &&
+              in_count[static_cast<std::size_t>(edge.dst)] == 1;
+    }
+    for (std::size_t i = first; i < edge_stack.size(); ++i) {
+      const Edge& edge = g.edge(edge_stack[i]);
+      out_count[static_cast<std::size_t>(edge.src)] = 0;
+      in_count[static_cast<std::size_t>(edge.dst)] = 0;
+    }
+    return cycle;
+  };
+
   struct Frame {
     NodeId v;
-    EdgeId arrived_via;  // edge used to reach v (kInvalidEdge for roots)
-    std::size_t next;    // next incidence index to explore
+    EdgeId arrived_via;     // edge used to reach v (kInvalidEdge for roots)
+    int next;               // next incidence of v to explore
+    std::size_t stack_at;   // edge-stack position of arrived_via
   };
+  std::vector<Frame> stack;
 
   for (NodeId root = 0; root < static_cast<NodeId>(n); ++root) {
     if (disc[static_cast<std::size_t>(root)] != -1) continue;
-    std::vector<Frame> stack;
-    stack.push_back({root, kInvalidEdge, 0});
+    stack.push_back({root, kInvalidEdge, view.begin[static_cast<std::size_t>(root)], 0});
     disc[static_cast<std::size_t>(root)] = low[static_cast<std::size_t>(root)] = time++;
     int root_children = 0;
 
@@ -64,16 +107,16 @@ BccResult biconnected_components(const Digraph& g) {
       Frame& frame = stack.back();
       const NodeId v = frame.v;
       const auto vi = static_cast<std::size_t>(v);
-      const auto& inc = view.adj[vi];
-      if (frame.next < inc.size()) {
-        const auto [w, via] = inc[frame.next++];
+      if (frame.next < view.begin[vi + 1]) {
+        const auto [w, via] = view.inc[static_cast<std::size_t>(frame.next++)];
         const auto wi = static_cast<std::size_t>(w);
         if (via == frame.arrived_via) continue;  // do not re-use the tree edge
         if (disc[wi] == -1) {
+          const std::size_t at = edge_stack.size();
           edge_stack.push_back(via);
           disc[wi] = low[wi] = time++;
           if (v == root) ++root_children;
-          stack.push_back({w, via, 0});
+          stack.push_back({w, via, view.begin[wi], at});  // invalidates `frame`
         } else if (disc[wi] < disc[vi]) {
           // Back edge to an ancestor (or a parallel edge).
           edge_stack.push_back(via);
@@ -82,23 +125,21 @@ BccResult biconnected_components(const Digraph& g) {
         continue;
       }
       // v fully explored; fold into parent.
-      const EdgeId arrived_via = frame.arrived_via;
+      const std::size_t stack_at = frame.stack_at;
       stack.pop_back();  // invalidates `frame`
       if (stack.empty()) break;
       Frame& parent = stack.back();
       const auto pi = static_cast<std::size_t>(parent.v);
       low[pi] = std::min(low[pi], low[vi]);
       if (low[vi] >= disc[pi]) {
-        // parent.v closes a biconnected component ending at `arrived_via`.
-        std::vector<EdgeId> comp;
-        for (;;) {
-          LID_ASSERT(!edge_stack.empty(), "BCC edge stack underflow");
-          const EdgeId e = edge_stack.back();
-          edge_stack.pop_back();
-          comp.push_back(e);
-          if (e == arrived_via) break;
+        // parent.v closes a biconnected component: the edge stack from the
+        // tree edge into v up (a bridge when that is the only edge).
+        LID_ASSERT(stack_at < edge_stack.size(), "BCC edge stack underflow");
+        if (edge_stack.size() - stack_at > 1) {
+          result.all_bridges = false;
+          if (!result.reconvergent && !is_directed_cycle(stack_at)) result.reconvergent = true;
         }
-        result.components.push_back(std::move(comp));
+        edge_stack.resize(stack_at);
         if (parent.v != root) is_articulation[pi] = 1;
       }
     }
@@ -109,42 +150,6 @@ BccResult biconnected_components(const Digraph& g) {
     if (is_articulation[static_cast<std::size_t>(v)]) result.articulation.push_back(v);
   }
   return result;
-}
-
-/// True when the BCC (given as directed edge ids, ≥2 edges) forms exactly one
-/// directed simple cycle.
-bool bcc_is_directed_cycle(const Digraph& g, const std::vector<EdgeId>& comp) {
-  std::map<NodeId, int> out_count;
-  std::map<NodeId, int> in_count;
-  for (const EdgeId e : comp) {
-    const Edge& edge = g.edge(e);
-    ++out_count[edge.src];
-    ++in_count[edge.dst];
-  }
-  if (out_count.size() != comp.size() || in_count.size() != comp.size()) return false;
-  for (const auto& [v, c] : out_count) {
-    if (c != 1) return false;
-    const auto it = in_count.find(v);
-    if (it == in_count.end() || it->second != 1) return false;
-  }
-  // Connectivity within a BCC is guaranteed by construction, and with all
-  // in/out degrees equal to one the component is a single directed cycle.
-  return true;
-}
-
-/// True when every biconnected component is a single edge (a bridge).
-bool all_bridges(const BccResult& bcc) {
-  return std::all_of(bcc.components.begin(), bcc.components.end(),
-                     [](const std::vector<EdgeId>& comp) { return comp.size() == 1; });
-}
-
-/// True when some non-bridge biconnected component is not a directed cycle.
-bool reconvergent(const Digraph& g, const BccResult& bcc) {
-  for (const auto& comp : bcc.components) {
-    if (comp.size() == 1) continue;  // bridge
-    if (!bcc_is_directed_cycle(g, comp)) return true;
-  }
-  return false;
 }
 
 bool has_self_loop(const Digraph& g) {
@@ -172,11 +177,11 @@ const char* to_string(TopologyClass c) {
 
 bool is_underlying_forest(const Digraph& g) {
   // A self-loop is a cycle.
-  return !has_self_loop(g) && all_bridges(biconnected_components(g));
+  return !has_self_loop(g) && biconnected_components(g).all_bridges;
 }
 
 bool has_reconvergent_paths(const Digraph& g) {
-  return reconvergent(g, biconnected_components(g));
+  return biconnected_components(g).reconvergent;
 }
 
 bool scc_is_cactus(const Digraph& g, const std::vector<NodeId>& members) {
@@ -202,9 +207,9 @@ bool scc_is_cactus(const Digraph& g, const std::vector<NodeId>& members) {
 TopologyClass classify(const Digraph& g) {
   // One decomposition serves both tests (is_underlying_forest and
   // has_reconvergent_paths).
-  const BccResult bcc = biconnected_components(g);
-  if (!has_self_loop(g) && all_bridges(bcc)) return TopologyClass::kTree;
-  if (reconvergent(g, bcc)) return TopologyClass::kGeneral;
+  const BccSummary bcc = biconnected_components(g);
+  if (!has_self_loop(g) && bcc.all_bridges) return TopologyClass::kTree;
+  if (bcc.reconvergent) return TopologyClass::kGeneral;
   // Every undirected cycle is a directed cycle: cactus SCCs connected by a
   // forest of inter-SCC edges.
   return is_strongly_connected(g) ? TopologyClass::kCactusScc

@@ -361,13 +361,10 @@ void check_blowup(const lis::Expansion& doubled, const LintOptions& options, Rep
 
 void check_oversized_queues(const lis::LisGraph& lis, const lis::Expansion& doubled,
                             Report& report) {
-  bool any_big = false;
+  // q = 1 can never be oversized: only channels with q > 1 pay a bound search.
   for (lis::ChannelId c = 0; c < static_cast<lis::ChannelId>(lis.num_channels()); ++c) {
-    any_big = any_big || lis.channel(c).queue_capacity > 1;
-  }
-  if (!any_big) return;  // q = 1 everywhere can never be oversized
-  for (const core::ChannelStorage& s : core::storage_bounds(lis, doubled)) {
-    if (s.configured_capacity <= 1) continue;
+    if (lis.channel(c).queue_capacity <= 1) continue;
+    const core::ChannelStorage s = core::channel_storage(lis, doubled, c);
     if (s.occupancy_bound >= s.configured_capacity) continue;
     Diagnostic d = make(
         "L302", "channel " + channel_desc(lis, s.channel) + " configures q = " +

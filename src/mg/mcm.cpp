@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "graph/cycles.hpp"
@@ -269,7 +270,7 @@ Rational exact_fallback_cycle(const SccView& view, std::vector<PlaceId>& cycle_o
 }
 
 Rational howard(const SccView& view, std::vector<int>& policy, HowardScratch& sc,
-                std::int64_t& rounds) {
+                WorkspaceStats& stats) {
   const int n = view.n;
   const auto ns = static_cast<std::size_t>(n);
   const int* const offset = view.offset.data();
@@ -288,155 +289,308 @@ Rational howard(const SccView& view, std::vector<int>& policy, HowardScratch& sc
   }
   int* const pol = policy.data();
 
-  sc.cycle_of.assign(ns, 0);
-  sc.rank.assign(ns, 0);
-  sc.value_s.assign(ns, 0);
-  sc.cycle_stamp.assign(ns, -1);  // which walk of the round visited the node
-  sc.evaluated.assign(ns, 0);
+  // A full round writes every entry before any is read.
+  sc.cycle_of.resize(ns);
+  sc.rank.resize(ns);
+  sc.value_s.resize(ns);
+  sc.cycle_stamp.resize(ns);  // which walk of the round visited the node
+  sc.evaluated.resize(ns);
   int* const cycle_of = sc.cycle_of.data();
   int* const rank = sc.rank.data();
   __int128* const value_s = sc.value_s.data();
   int* const cycle_stamp = sc.cycle_stamp.data();
   char* const evaluated = sc.evaluated.data();
 
+  // Incremental rounds find a node's policy children and predecessors
+  // through a reverse index: the source node of every edge, grouped by head.
+  // Node p is a policy child of u when dst[pol[p]] == u. Built when a solve
+  // first needs a second round, released with the round lists at its end.
+  const auto build_reverse_index = [&] {
+    sc.rev_offset.assign(ns + 1, 0);
+    sc.rev_src.resize(view.dst.size());
+    int* const next = sc.rev_offset.data();
+    for (int e = 0; e < view.num_edges(); ++e) ++next[dst[e] + 1];
+    for (int v = 0; v < n; ++v) next[v + 1] += next[v];
+    for (int u = 0; u < n; ++u) {
+      for (int e = offset[u]; e < offset[u + 1]; ++e) {
+        sc.rev_src[static_cast<std::size_t>(next[dst[e]]++)] = u;
+      }
+    }
+    // next[v] now ends v's run, which is where v + 1's starts.
+    for (int v = n; v > 0; --v) next[v] = next[v - 1];
+    next[0] = 0;
+    sc.flag.assign(ns, 0);
+  };
+  const int* rev_offset = nullptr;
+  const int* rev_src = nullptr;
+  char* flag = nullptr;
+  const bool incremental = n >= kIncrementalMinNodes;
+  constexpr char kInExam = 1;
+  constexpr char kPending = 2;
+
   // Values of a policy tree are scaled by its root cycle's mean p/q, so
   // value[v] = value_s[v] / q exactly; each policy cycle is anchored at its
   // minimum node id (a deterministic anchor keeps values comparable across
-  // rounds, which phase-2 termination relies on).
-  const auto evaluate = [&] {
-    std::fill(sc.evaluated.begin(), sc.evaluated.end(), 0);
-    std::fill(sc.cycle_stamp.begin(), sc.cycle_stamp.end(), -1);
-    sc.mean_num.clear();
-    sc.mean_den.clear();
-    int walk = 0;
-    for (int start = 0; start < n; ++start) {
-      if (evaluated[start]) continue;
-      // Follow the policy chain until it reaches an evaluated node or
-      // revisits a node of this walk (a fresh policy cycle).
-      auto& chain = sc.chain;
-      chain.clear();
-      int v = start;
-      while (!evaluated[v] && cycle_stamp[v] != walk) {
-        cycle_stamp[v] = walk;
-        chain.push_back(v);
-        v = dst[pol[v]];
-      }
-      if (!evaluated[v]) {
-        std::int64_t tokens = 0;
-        std::int64_t length = 0;
-        auto& cyc = sc.cyc;
-        cyc.clear();
-        int u = v;
-        do {
-          tokens += weight[pol[u]];
-          ++length;
-          cyc.push_back(u);
-          u = dst[pol[u]];
-        } while (u != v);
-        const Rational mean(tokens, length);
-        const int c = static_cast<int>(sc.mean_num.size());
-        sc.mean_num.push_back(mean.num());
-        sc.mean_den.push_back(mean.den());
-        std::rotate(cyc.begin(), std::min_element(cyc.begin(), cyc.end()), cyc.end());
-        const int anchor = cyc.front();
-        cycle_of[anchor] = c;
-        value_s[anchor] = 0;
-        evaluated[anchor] = 1;
-        const std::int64_t p = mean.num();
-        const std::int64_t q = mean.den();
-        for (std::size_t i = cyc.size(); i-- > 1;) {
-          const int node = cyc[i];
-          const int e = pol[node];
-          cycle_of[node] = c;
-          value_s[node] = static_cast<__int128>(q) * weight[e] - p + value_s[dst[e]];
-          evaluated[node] = 1;
-        }
-      }
-      // Chain nodes before `v` inherit v's cycle and its denominator.
-      for (std::size_t i = chain.size(); i-- > 0;) {
-        const int node = chain[i];
-        if (evaluated[node]) continue;
+  // rounds, which phase-2 termination relies on, and makes a node's value
+  // depend on its own chain and cycle only). Follows the policy from
+  // `start` until it reaches an evaluated node or revisits a node of this
+  // walk (a fresh policy cycle, appended to the cycle table), then
+  // evaluates the chain backwards.
+  int walk = 0;
+  const auto evaluate_from = [&](int start) {
+    if (evaluated[start]) return;
+    auto& chain = sc.chain;
+    chain.clear();
+    int v = start;
+    while (!evaluated[v] && cycle_stamp[v] != walk) {
+      cycle_stamp[v] = walk;
+      chain.push_back(v);
+      v = dst[pol[v]];
+    }
+    if (!evaluated[v]) {
+      std::int64_t tokens = 0;
+      std::int64_t length = 0;
+      auto& cyc = sc.cyc;
+      cyc.clear();
+      int u = v;
+      do {
+        tokens += weight[pol[u]];
+        ++length;
+        cyc.push_back(u);
+        u = dst[pol[u]];
+      } while (u != v);
+      const Rational mean(tokens, length);
+      const int c = static_cast<int>(sc.mean_num.size());
+      sc.mean_num.push_back(mean.num());
+      sc.mean_den.push_back(mean.den());
+      std::rotate(cyc.begin(), std::min_element(cyc.begin(), cyc.end()), cyc.end());
+      const int anchor = cyc.front();
+      cycle_of[anchor] = c;
+      value_s[anchor] = 0;
+      evaluated[anchor] = 1;
+      const std::int64_t p = mean.num();
+      const std::int64_t q = mean.den();
+      for (std::size_t i = cyc.size(); i-- > 1;) {
+        const int node = cyc[i];
         const int e = pol[node];
-        const int c = cycle_of[dst[e]];
-        const auto ci = static_cast<std::size_t>(c);
         cycle_of[node] = c;
-        value_s[node] = static_cast<__int128>(sc.mean_den[ci]) * weight[e] - sc.mean_num[ci] +
-                        value_s[dst[e]];
+        value_s[node] = static_cast<__int128>(q) * weight[e] - p + value_s[dst[e]];
         evaluated[node] = 1;
       }
-      ++walk;
     }
-    // Dense ranks over the round's distinct means.
+    // Chain nodes before `v` inherit v's cycle and its denominator.
+    for (std::size_t i = chain.size(); i-- > 0;) {
+      const int node = chain[i];
+      if (evaluated[node]) continue;
+      const int e = pol[node];
+      const int c = cycle_of[dst[e]];
+      const auto ci = static_cast<std::size_t>(c);
+      cycle_of[node] = c;
+      value_s[node] = static_cast<__int128>(sc.mean_den[ci]) * weight[e] - sc.mean_num[ci] +
+                      value_s[dst[e]];
+      evaluated[node] = 1;
+    }
+    ++walk;
+  };
+
+  // Dense ranks over the distinct means of the cycle table (equal means,
+  // equal ranks; a smaller mean, a smaller rank), counted down from round
+  // 1's largest mean. Cycles from `old_cycles` on are new, and after round 1
+  // each lies below every mean in the table. Phase 1 closes no cycle: along
+  // a new policy cycle the old ranks would never rise and would fall at
+  // each switched node. Phase 2 runs only when no node has a lower-ranked
+  // successor, so in a strongly connected view every node then shares the
+  // table's smallest mean, and a cycle closed by strict value improvements
+  // lies below it. So new cycles rank below the old ones, and no old rank
+  // moves.
+  int lowest = -1;  // a cycle of the table's smallest mean
+  const auto rank_new_cycles = [&](std::size_t old_cycles) {
     const std::size_t cycles = sc.mean_num.size();
     const std::int64_t* const num = sc.mean_num.data();
     const std::int64_t* const den = sc.mean_den.data();
-    sc.order.resize(cycles);
-    for (std::size_t c = 0; c < cycles; ++c) sc.order[c] = static_cast<int>(c);
-    std::sort(sc.order.begin(), sc.order.end(),
+    auto& order = sc.order;
+    order.resize(cycles - old_cycles);
+    std::iota(order.begin(), order.end(), static_cast<int>(old_cycles));
+    std::sort(order.begin(), order.end(),
               [&](int a, int b) { return mean_less(num[a], den[a], num[b], den[b]); });
     sc.cycle_rank.resize(cycles);
+    int* const cycle_rank = sc.cycle_rank.data();
     int r = 0;
-    for (std::size_t i = 0; i < cycles; ++i) {
-      const int c = sc.order[i];
-      if (i > 0) {
-        const int prev = sc.order[i - 1];
-        if (num[c] != num[prev] || den[c] != den[prev]) ++r;
-      }
-      sc.cycle_rank[static_cast<std::size_t>(c)] = r;
+    if (old_cycles > 0) {
+      const int top = order.back();
+      LID_ASSERT(mean_less(num[top], den[top], num[lowest], den[lowest]),
+                 "howard: a new policy cycle does not lie below every earlier one");
+      r = cycle_rank[lowest] - 1;
     }
-    for (int v = 0; v < n; ++v) rank[v] = sc.cycle_rank[static_cast<std::size_t>(cycle_of[v])];
+    for (std::size_t i = order.size(); i-- > 0;) {
+      const int c = order[i];
+      if (i + 1 < order.size()) {
+        const int above = order[i + 1];
+        if (num[c] != num[above] || den[c] != den[above]) --r;
+      }
+      cycle_rank[c] = r;
+    }
+    lowest = order.front();
   };
 
+  // Phase 1 on node v: switch to the first successor whose policy cycle has
+  // a strictly smaller mean. Phase 2: same-mean value improvement;
+  // candidates share v's rank, so every compared value shares one
+  // denominator and compares directly. Both read only v's and its
+  // successors' cycles and values, so a pass decides every node
+  // independently of the others' switches; when rounds are incremental, a
+  // switched node joins `dirty`.
+  auto& dirty = sc.dirty;
+  bool switched = false;
+  const auto improve_mean = [&](int v) {
+    int best = pol[v];
+    int best_rank = rank[dst[best]];
+    for (int e = offset[v]; e < offset[v + 1]; ++e) {
+      const int r = rank[dst[e]];
+      if (r < best_rank) {
+        best = e;
+        best_rank = r;
+      }
+    }
+    if (best != pol[v]) {
+      pol[v] = best;
+      switched = true;
+      if (incremental) dirty.push_back(v);
+    }
+  };
+  const auto improve_value = [&](int v) {
+    const auto c = static_cast<std::size_t>(cycle_of[v]);
+    const std::int64_t p = sc.mean_num[c];
+    const std::int64_t q = sc.mean_den[c];
+    const int rv = rank[v];
+    int best = pol[v];
+    __int128 best_value = static_cast<__int128>(q) * weight[best] - p + value_s[dst[best]];
+    for (int e = offset[v]; e < offset[v + 1]; ++e) {
+      if (rank[dst[e]] != rv) continue;
+      const __int128 cand = static_cast<__int128>(q) * weight[e] - p + value_s[dst[e]];
+      if (cand < best_value) {
+        best = e;
+        best_value = cand;
+      }
+    }
+    if (best_value < value_s[v]) {
+      pol[v] = best;
+      switched = true;
+      if (incremental) dirty.push_back(v);
+    }
+  };
+
+  // Round 1 (every round on a small component) is a full pass. After it a
+  // round re-evaluates the switched nodes' subtrees in the new policy
+  // forest: every other node's chain and cycle, hence its value, are
+  // unchanged. Phase 1 re-examines the re-evaluated nodes and their
+  // predecessors, phase 2 the nodes phase 1 listed since phase 2's last
+  // pass: any other node's inputs are those it last decided on, unswitched.
+  auto& exam = sc.exam;
+  auto& pending = sc.pending;
+  const auto list = [&](int v) {
+    if ((flag[v] & kInExam) == 0) {
+      flag[v] |= kInExam;
+      exam.push_back(v);
+    }
+  };
+  dirty.clear();
+  pending.clear();
+  bool pending_all = true;  // phase 2 has not run a pass in this solve
   const std::int64_t max_iterations = howard_round_cap(n);
   bool converged = false;
   for (std::int64_t iter = 0; iter < max_iterations; ++iter) {
-    evaluate();
-    ++rounds;
-    bool improved = false;
-    // Phase 1: switch to the first successor whose policy cycle has a
-    // strictly smaller mean.
-    for (int v = 0; v < n; ++v) {
-      int best = pol[v];
-      int best_rank = rank[dst[best]];
-      for (int e = offset[v]; e < offset[v + 1]; ++e) {
-        const int r = rank[dst[e]];
-        if (r < best_rank) {
-          best = e;
-          best_rank = r;
+    // A full round evaluates and examines every node (no list); an
+    // incremental one the nodes in `dirty` and `exam`.
+    const bool full = iter == 0 || !incremental;
+    std::size_t old_cycles = 0;
+    if (full) {
+      sc.mean_num.clear();
+      sc.mean_den.clear();
+      std::fill(evaluated, evaluated + n, 0);
+      std::fill(cycle_stamp, cycle_stamp + n, -1);
+    } else {
+      if (iter == 1) {
+        build_reverse_index();
+        rev_offset = sc.rev_offset.data();
+        rev_src = sc.rev_src.data();
+        flag = sc.flag.data();
+      }
+      // `dirty` holds the switched nodes; one walk adds their subtrees and
+      // lists them and their predecessors for phase 1.
+      old_cycles = sc.mean_num.size();
+      exam.clear();
+      for (const int v : dirty) {
+        evaluated[v] = 0;
+        cycle_stamp[v] = -1;
+      }
+      for (std::size_t i = 0; i < dirty.size(); ++i) {
+        const int u = dirty[i];
+        list(u);
+        for (int k = rev_offset[u]; k < rev_offset[u + 1]; ++k) {
+          const int p = rev_src[k];
+          list(p);
+          if (evaluated[p] && dst[pol[p]] == u) {
+            evaluated[p] = 0;
+            cycle_stamp[p] = -1;
+            dirty.push_back(p);
+          }
         }
       }
-      if (best != pol[v]) {
-        pol[v] = best;
-        improved = true;
-      }
     }
-    if (improved) continue;
-    // Phase 2: same-mean value improvement. Candidates share v's rank, so
-    // every compared value shares one denominator and compares directly.
-    for (int v = 0; v < n; ++v) {
-      const auto c = static_cast<std::size_t>(cycle_of[v]);
-      const std::int64_t p = sc.mean_num[c];
-      const std::int64_t q = sc.mean_den[c];
-      const int rv = rank[v];
-      int best = pol[v];
-      __int128 best_value = static_cast<__int128>(q) * weight[best] - p + value_s[dst[best]];
-      for (int e = offset[v]; e < offset[v + 1]; ++e) {
-        if (rank[dst[e]] != rv) continue;
-        const __int128 cand = static_cast<__int128>(q) * weight[e] - p + value_s[dst[e]];
-        if (cand < best_value) {
-          best = e;
-          best_value = cand;
+    const int* const eval_ids = full ? nullptr : dirty.data();
+    const int evals = full ? n : static_cast<int>(dirty.size());
+    walk = 0;
+    for (int i = 0; i < evals; ++i) evaluate_from(eval_ids != nullptr ? eval_ids[i] : i);
+    stats.node_evaluations += evals;
+    // Old cycles keep their ranks, so only re-evaluated nodes' ranks move.
+    if (sc.mean_num.size() > old_cycles) rank_new_cycles(old_cycles);
+    const int* const cycle_rank = sc.cycle_rank.data();
+    for (int i = 0; i < evals; ++i) {
+      const int v = eval_ids != nullptr ? eval_ids[i] : i;
+      rank[v] = cycle_rank[cycle_of[v]];
+    }
+    ++stats.improvement_rounds;
+
+    const int* const exam_ids = full ? nullptr : exam.data();
+    const int exams = full ? n : static_cast<int>(exam.size());
+    dirty.clear();
+    switched = false;
+    for (int i = 0; i < exams; ++i) improve_mean(exam_ids != nullptr ? exam_ids[i] : i);
+    stats.node_examinations += exams;
+    if (full) {
+      pending_all = true;
+    } else {
+      for (const int v : exam) {
+        flag[v] &= ~kInExam;
+        if (!pending_all && (flag[v] & kPending) == 0) {
+          flag[v] |= kPending;
+          pending.push_back(v);
         }
       }
-      if (best_value < value_s[v]) {
-        pol[v] = best;
-        improved = true;
-      }
     }
-    if (!improved) {
+    if (switched) continue;
+
+    const int* const pending_ids = pending_all ? nullptr : pending.data();
+    const int pendings = pending_all ? n : static_cast<int>(pending.size());
+    for (int i = 0; i < pendings; ++i) improve_value(pending_ids != nullptr ? pending_ids[i] : i);
+    stats.node_examinations += pendings;
+    for (const int v : pending) flag[v] &= ~kPending;
+    pending.clear();
+    pending_all = !incremental;
+    if (!switched) {
       converged = true;
       break;
     }
+  }
+  if (rev_offset != nullptr) {
+    // A workspace kept between solves holds only what full passes need.
+    std::vector<int>().swap(sc.rev_offset);
+    std::vector<int>().swap(sc.rev_src);
+    std::vector<int>().swap(sc.dirty);
+    std::vector<int>().swap(sc.exam);
+    std::vector<int>().swap(sc.pending);
+    std::vector<char>().swap(sc.flag);
   }
   if (!converged) {
     // Degenerate tie structures can make multichain policy iteration cycle;
@@ -454,18 +608,18 @@ Rational howard(const SccView& view, std::vector<int>& policy, HowardScratch& sc
   }
   sc.seen_at.assign(ns, -1);
   auto& seen_at = sc.seen_at;
-  auto& walk = sc.walk;
-  walk.clear();
+  auto& walk_nodes = sc.walk;
+  walk_nodes.clear();
   int v = start;
   while (seen_at[static_cast<std::size_t>(v)] == -1) {
-    seen_at[static_cast<std::size_t>(v)] = static_cast<int>(walk.size());
-    walk.push_back(v);
+    seen_at[static_cast<std::size_t>(v)] = static_cast<int>(walk_nodes.size());
+    walk_nodes.push_back(v);
     v = dst[pol[v]];
   }
   sc.cycle.clear();
   for (std::size_t i = static_cast<std::size_t>(seen_at[static_cast<std::size_t>(v)]);
-       i < walk.size(); ++i) {
-    sc.cycle.push_back(view.place[static_cast<std::size_t>(pol[walk[i]])]);
+       i < walk_nodes.size(); ++i) {
+    sc.cycle.push_back(view.place[static_cast<std::size_t>(pol[walk_nodes[i]])]);
   }
   return sc.lambda(v);
 }
@@ -592,7 +746,7 @@ bool min_cycle_mean_howard(const MarkedGraph& g, Workspace& ws, MeanCycle& out) 
     if (!warm) policy.clear();
     (warm ? im.stats.warm_restarts : im.stats.cold_starts) += 1;
     const Rational mean =
-        kernel::howard(im.views[i], policy, im.scratch, im.stats.improvement_rounds);
+        kernel::howard(im.views[i], policy, im.scratch, im.stats);
     if (!found || mean < out.mean) {
       out.mean = mean;
       std::swap(out.cycle, im.scratch.cycle);
@@ -622,7 +776,7 @@ McmEvidence mcm_evidence(const MarkedGraph& g, Workspace& ws) {
     const std::size_t i = next_view++;
     const kernel::SccView& view = im.views[i];
     im.stats.cold_starts += 1;
-    const Rational mean = kernel::howard(view, im.policies[i], sc, im.stats.improvement_rounds);
+    const Rational mean = kernel::howard(view, im.policies[i], sc, im.stats);
     ev.lambda[static_cast<std::size_t>(c)] = mean;
 
     // Candidate potentials from Howard's converged value vector (at

@@ -74,11 +74,15 @@ McmEvidence mcm_evidence(const MarkedGraph& g, Workspace& ws);
 /// θ of an evidence pass, exactly mst() of its graph (throws alike).
 util::Rational mst(const McmEvidence& evidence);
 
-/// Counters a Workspace accumulates across solves (never reset).
+/// Counters a Workspace accumulates across solves (never reset). All are
+/// exact for a given call sequence; the last two count the work behind the
+/// rounds (a full pass evaluates and examines every node of its component).
 struct WorkspaceStats {
   std::int64_t cold_starts = 0;    ///< per-SCC solves seeded from scratch
   std::int64_t warm_restarts = 0;  ///< per-SCC solves seeded from a previous policy
   std::int64_t improvement_rounds = 0;  ///< total policy-iteration rounds run
+  std::int64_t node_evaluations = 0;    ///< nodes whose value a round (re)computed
+  std::int64_t node_examinations = 0;   ///< nodes the improvement phases examined
 };
 
 /// Minimum cycle mean via Karp's algorithm, or nullopt if `g` is acyclic.

@@ -12,11 +12,20 @@
 // count (`weight`) and the place it came from (`place`). A Howard policy is
 // one edge index per node.
 //
-// Ranks: every evaluation round gives each policy cycle its exact mean p/q
-// and then a dense integer rank over the round's distinct means (equal
-// means, equal ranks; a smaller mean, a smaller rank). Nodes carry the rank
-// of the cycle their policy chain reaches, so the improvement phases compare
-// ints, never Rationals; values stay scaled integers (value_s[v] / q).
+// Ranks: every policy cycle gets its exact mean p/q and a dense integer
+// rank over the distinct means of every cycle seen since the last full
+// round, dead cycles included (equal means, equal ranks; a smaller mean, a
+// smaller rank). Nodes carry the rank of the cycle their policy chain
+// reaches, so the improvement phases compare ints, never Rationals; values
+// stay scaled integers (value_s[v] / q).
+//
+// Incremental rounds: on components of at least kIncrementalMinNodes nodes,
+// a round after the first re-evaluates only the nodes whose policy chain
+// reaches a node that just switched, phase 1 re-examines only those nodes
+// and their predecessors, and phase 2 only the nodes touched since its own
+// last pass. Policies, values, ranks' order, round counts and the critical
+// cycle are those of full passes (DESIGN.md, "Howard kernel layout and the
+// rank rule").
 #pragma once
 
 #include <cstdint>
@@ -24,6 +33,7 @@
 
 #include "graph/scc.hpp"
 #include "mg/marked_graph.hpp"
+#include "mg/mcm.hpp"
 #include "util/rational.hpp"
 
 namespace lid::mg::kernel {
@@ -51,23 +61,31 @@ SccView make_view(const MarkedGraph& g, const graph::SccPartition& part,
 void refresh_weights(SccView& view, const MarkedGraph& g);
 
 /// Scratch shared by every Howard solve of one workspace: sized for the
-/// largest SCC seen, never shrunk, so a warm re-solve allocates nothing.
-/// After a solve it holds the last evaluation round: each node's policy
-/// cycle, rank and scaled value, and each cycle's mean.
+/// largest SCC seen, never shrunk, so a warm re-solve allocates little
+/// (the reverse index and round lists of incremental rounds excepted: a
+/// solve that builds them frees them). After a solve it holds the last
+/// evaluation: each node's policy cycle, rank and scaled value, and the
+/// mean of every cycle it refers to.
 struct HowardScratch {
-  std::vector<int> cycle_of;          ///< per node: its policy cycle this round
+  std::vector<int> cycle_of;          ///< per node: its policy cycle
   std::vector<int> rank;              ///< per node: rank of that cycle's mean
   std::vector<__int128> value_s;      ///< per node: value scaled by the mean's den
-  std::vector<std::int64_t> mean_num; ///< per policy cycle: mean p/q, normalized
+  std::vector<std::int64_t> mean_num; ///< per cycle seen: mean p/q, normalized
   std::vector<std::int64_t> mean_den;
-  std::vector<int> cycle_rank;        ///< per policy cycle
-  std::vector<int> order;             ///< policy cycles sorted by mean
+  std::vector<int> cycle_rank;        ///< per cycle seen
+  std::vector<int> order;             ///< cycles a round added, sorted by mean
   std::vector<int> cycle_stamp;
   std::vector<char> evaluated;
+  std::vector<char> flag;             ///< per node: listed in `exam` / `pending`
   std::vector<int> chain;
   std::vector<int> cyc;
   std::vector<int> walk;
   std::vector<int> seen_at;
+  std::vector<int> rev_offset;        ///< reverse index: n + 1 entries
+  std::vector<int> rev_src;           ///< per in-edge: its source node
+  std::vector<int> dirty;             ///< switched nodes, then their subtrees
+  std::vector<int> exam;              ///< nodes phase 1 examines this round
+  std::vector<int> pending;           ///< nodes phase 2 has not seen since touched
   std::vector<PlaceId> cycle;  ///< critical-cycle output buffer
 
   /// λ of node v in the last evaluation round.
@@ -75,6 +93,13 @@ struct HowardScratch {
   /// True when node v's λ in the last evaluation round is exactly `mean`.
   [[nodiscard]] bool lambda_is(int v, const util::Rational& mean) const;
 };
+
+/// Components with fewer nodes run every round as a full pass: on them the
+/// bookkeeping of an incremental round (the reverse index, the subtree walk,
+/// the lists) costs more than the nodes it skips. Measured on the kernel
+/// alone, incremental rounds took +37 % on components of ~13 nodes and ~2
+/// rounds, and 4-7 % less at ~32 nodes and ~8 rounds.
+inline constexpr int kIncrementalMinNodes = 32;
 
 /// Howard's round cap on an n-node component: 2n + 1000. Measured cold, the
 /// most rounds one solve took was 88 (on 473 nodes) over test_mcm_kernel's
@@ -91,11 +116,12 @@ struct HowardScratch {
 /// `policy` is in/out: when sized to the component it seeds the iteration
 /// (warm start — any valid policy converges to the same minimum mean),
 /// otherwise it is (re)seeded with each node's first minimum-weight
-/// out-edge. `rounds` accumulates policy-improvement rounds. When policy
-/// iteration does not settle within howard_round_cap(n) rounds it returns
-/// exact_fallback_cycle's answer instead.
+/// out-edge. `stats` accumulates the improvement rounds, node evaluations
+/// and node examinations. When policy iteration does not settle within
+/// howard_round_cap(n) rounds it returns exact_fallback_cycle's answer
+/// instead.
 util::Rational howard(const SccView& view, std::vector<int>& policy, HowardScratch& sc,
-                      std::int64_t& rounds);
+                      WorkspaceStats& stats);
 
 /// Karp's minimum cycle mean (an O(n^2) walk table).
 util::Rational karp(const SccView& view);

@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/storage.hpp"
+#include "gen/generator.hpp"
 #include "lid_api.hpp"
 #include "lint/checks.hpp"
 #include "lint/diagnostic.hpp"
@@ -21,6 +23,7 @@
 #include "lis/paper_systems.hpp"
 #include "util/json.hpp"
 #include "util/rational.hpp"
+#include "util/rng.hpp"
 
 namespace lid::linter {
 namespace {
@@ -287,6 +290,70 @@ TEST(Checks, L302OversizedQueue) {
   EXPECT_LT(d.fixits[0].set_queue_capacity, 5);
   // All-q=1 systems can never be oversized, so the scan short-circuits.
   EXPECT_FALSE(run_checks(lis::make_two_core_example()).has_code("L302"));
+}
+
+/// L302's findings equal the full storage_bounds filter: one finding per
+/// channel with q > 1 whose occupancy bound is below q, in channel order,
+/// carrying that bound in its message and fix-it.
+::testing::AssertionResult l302_matches_storage_bounds(const lis::LisGraph& lis) {
+  const Report report = run_checks(lis);
+  if (report.has_errors()) return ::testing::AssertionSuccess();  // L302 does not run
+  std::vector<core::ChannelStorage> expected;
+  for (const core::ChannelStorage& s : core::storage_bounds(lis)) {
+    if (s.configured_capacity > 1 && s.occupancy_bound < s.configured_capacity) {
+      expected.push_back(s);
+    }
+  }
+  std::vector<const Diagnostic*> found;
+  for (const Diagnostic& d : report.diagnostics) {
+    if (d.code == "L302") found.push_back(&d);
+  }
+  if (found.size() != expected.size()) {
+    return ::testing::AssertionFailure()
+           << found.size() << " L302 findings, expected " << expected.size();
+  }
+  for (std::size_t i = 0; i < found.size(); ++i) {
+    const Diagnostic& d = *found[i];
+    const core::ChannelStorage& s = expected[i];
+    const std::string bound = std::to_string(s.occupancy_bound);
+    if (d.location.channel != s.channel || d.fixits.size() != 1 ||
+        d.fixits[0].channel != s.channel ||
+        d.fixits[0].set_queue_capacity != std::max<std::int64_t>(1, s.occupancy_bound) ||
+        d.message.find("configures q = " + std::to_string(s.configured_capacity) +
+                       " but its structural occupancy bound is " + bound + ";") ==
+            std::string::npos) {
+      return ::testing::AssertionFailure() << "finding " << i << " differs: " << d.message;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Checks, L302MatchesTheFullStorageBoundsFilter) {
+  for (const char* dir : {LID_DATA_DIR, LID_DATA_DIR "/corpus", LID_MALFORMED_DIR "/lint"}) {
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() != ".lis") continue;
+      EXPECT_TRUE(l302_matches_storage_bounds(lis::load_netlist(entry.path().string())))
+          << entry.path();
+    }
+  }
+  // Generated systems with random queues, most of them above one.
+  util::Rng rng(302);
+  int with_findings = 0;
+  for (int k = 0; k < 300; ++k) {
+    gen::GeneratorParams params;
+    params.vertices = rng.uniform_int(2, 30);
+    params.sccs = rng.uniform_int(1, std::max(1, params.vertices / 3));
+    params.min_cycles = rng.uniform_int(0, 4);
+    params.policy = gen::RsPolicy::kAny;
+    params.relay_stations = rng.uniform_int(0, 12);
+    lis::LisGraph lis = gen::generate(params, rng);
+    for (lis::ChannelId c = 0; c < static_cast<lis::ChannelId>(lis.num_channels()); ++c) {
+      lis.set_queue_capacity(c, rng.uniform_int(1, 6));
+    }
+    EXPECT_TRUE(l302_matches_storage_bounds(lis)) << "generated #" << k;
+    with_findings += run_checks(lis).has_code("L302") ? 1 : 0;
+  }
+  EXPECT_GT(with_findings, 30);
 }
 
 // --- Tiering ---------------------------------------------------------------

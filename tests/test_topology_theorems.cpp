@@ -4,10 +4,13 @@
 //   * networks of cactus SCCs never degrade with q = 1,
 //   * q = r + 1 always suffices (r = total relay stations),
 //   * general topologies can and do degrade.
+// The topology predicates are also compared with the biconnected
+// decomposition they replaced (topology_oracle.*).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/fixed_qs.hpp"
 #include "gen/generator.hpp"
@@ -16,6 +19,7 @@
 #include "lis/lis_graph.hpp"
 #include "lis/netlist_io.hpp"
 #include "lis/paper_systems.hpp"
+#include "topology_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace lid {
@@ -201,6 +205,82 @@ TEST(Classify, OneDecompositionMatchesTheDefinition) {
   }
   // Every class shows up, so each branch of classify() was compared.
   EXPECT_EQ(seen.size(), 4U);
+}
+
+/// Every topology predicate on `g`, and scc_is_cactus on each of g's SCCs,
+/// agrees with the oracle.
+void expect_same_topology(const graph::Digraph& g, const std::string& name) {
+  namespace oracle = graph::topology_oracle;
+  EXPECT_EQ(graph::classify(g), oracle::classify(g)) << name;
+  EXPECT_EQ(graph::is_underlying_forest(g), oracle::is_underlying_forest(g)) << name;
+  EXPECT_EQ(graph::has_reconvergent_paths(g), oracle::has_reconvergent_paths(g)) << name;
+  EXPECT_EQ(graph::articulation_points(g), oracle::articulation_points(g)) << name;
+  for (const auto& members : graph::scc(g).members) {
+    EXPECT_EQ(graph::scc_is_cactus(g, members), oracle::scc_is_cactus(g, members)) << name;
+  }
+}
+
+/// A random multigraph with parallel edges and self-loops.
+graph::Digraph random_multigraph(util::Rng& rng) {
+  const int n = rng.uniform_int(1, 14);
+  std::vector<graph::Edge> edges;
+  const int m = rng.uniform_int(0, 2 * n);
+  for (int i = 0; i < m; ++i) {
+    edges.push_back({rng.uniform_int(0, n - 1), rng.uniform_int(0, n - 1)});
+  }
+  return graph::Digraph(static_cast<std::size_t>(n), std::move(edges));
+}
+
+TEST(Classify, MatchesTheOracle) {
+  std::map<graph::TopologyClass, int> seen;
+  const auto check = [&](const lis::LisGraph& lis, const std::string& name) {
+    expect_same_topology(lis.structure(), name);
+    ++seen[graph::classify(lis.structure())];
+  };
+  for (int i = 0; i < 20; ++i) {
+    const std::string file = "sys" + std::to_string(i) + ".lis";
+    check(lis::load_netlist(std::string(LID_DATA_DIR) + "/corpus/" + file), file);
+  }
+  for (const char* file : {"fig1.lis", "fig15.lis", "cofdm.lis"}) {
+    check(lis::load_netlist(std::string(LID_DATA_DIR) + "/" + file), file);
+  }
+  check(lis::make_two_core_example(), "two-core example");
+  check(lis::make_fig15_counterexample(), "fig15 counterexample");
+  util::Rng rng(24);
+  for (int k = 0; k < 2400; ++k) {
+    const std::string name = "generated #" + std::to_string(k);
+    switch (k % 6) {
+      case 0:
+      case 1: {
+        gen::GeneratorParams params;
+        params.vertices = rng.uniform_int(1, 40);
+        params.sccs = rng.uniform_int(1, params.vertices);
+        params.min_cycles = rng.uniform_int(0, 3);
+        params.reconvergent = rng.uniform_int(0, 1) == 1;
+        params.policy = gen::RsPolicy::kAny;
+        params.relay_stations = params.vertices > 1 ? rng.uniform_int(0, 5) : 0;
+        check(gen::generate(params, rng), name);
+        break;
+      }
+      case 2: check(gen::generate_tree(rng.uniform_int(1, 30), 0, rng), name); break;
+      case 3:
+        check(gen::generate_cactus(rng.uniform_int(1, 6), rng.uniform_int(2, 6), 0, rng), name);
+        break;
+      case 4:
+        check(gen::generate_mesh(rng.uniform_int(1, 5), rng.uniform_int(1, 5), 0, rng), name);
+        break;
+      default:
+        check(gen::generate_torus(rng.uniform_int(2, 5), rng.uniform_int(2, 5), 0, rng), name);
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  for (int k = 0; k < 600; ++k) {
+    expect_same_topology(random_multigraph(rng), "multigraph #" + std::to_string(k));
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Every class shows up, so each branch of classify() was compared.
+  EXPECT_EQ(seen.size(), 4U);
+  for (const auto& [c, count] : seen) EXPECT_GE(count, 20) << graph::to_string(c);
 }
 
 TEST(GeneralTopology, CanDegrade) {
