@@ -55,17 +55,14 @@ void BM_SizeQueuesLazy(benchmark::State& state) {
   options.method = core::QsMethod::kLazy;
   std::int64_t cycles = 0;
   std::int64_t total = 0;
-  std::int64_t fallbacks = 0;
   for (auto _ : state) {
     const core::QsReport r = core::size_queues(system, options);
     benchmark::DoNotOptimize(r);
     cycles = r.lazy->cycles_generated;
     total = r.exact ? r.exact->total_extra_tokens : -1;
-    if (r.lazy->fell_back) ++fallbacks;
   }
   state.counters["cycles_generated"] = static_cast<double>(cycles);
   state.counters["total_extra_tokens"] = static_cast<double>(total);
-  state.counters["fallbacks"] = static_cast<double>(fallbacks);
 }
 BENCHMARK(BM_SizeQueuesLazy)->Arg(20)->Arg(24)->Arg(28)->Unit(benchmark::kMillisecond);
 

@@ -16,6 +16,7 @@
 #include "graph/cycles.hpp"
 #include "lis/lis_graph.hpp"
 #include "npc/vc_reduction.hpp"
+#include "util/split.hpp"
 
 int main(int argc, char** argv) {
   using namespace lid;
@@ -57,7 +58,9 @@ int main(int argc, char** argv) {
   util::Table table({"deficient cycle", "mean", "places"});
   int id = 0;
   for (const auto& [mean, places] : bad_list) {
-    table.add_row({"D" + std::to_string(++id), mean.to_string(), std::to_string(places)});
+    std::string name(1, 'D');
+    util::append_decimal(name, ++id);
+    table.add_row({std::move(name), mean.to_string(), std::to_string(places)});
   }
   table.print(std::cout);
   std::cout << "(the 4/6 rows are the per-VC-edge Fig. 12 cycles; longer rows are the\n"

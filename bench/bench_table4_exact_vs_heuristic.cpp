@@ -15,6 +15,7 @@
 #include "gen/generator.hpp"
 #include "graph/scc.hpp"
 #include "lis/lis_graph.hpp"
+#include "util/split.hpp"
 
 int main(int argc, char** argv) {
   using namespace lid;
@@ -75,8 +76,12 @@ int main(int argc, char** argv) {
       }
     }
 
+    std::string size(1, '(');
+    util::append_decimal(size, cfg.v);
+    size.push_back(',');
+    size.append(util::Table::fmt(edges / trials)).push_back(')');
     table.add_row({
-        "(" + std::to_string(cfg.v) + "," + util::Table::fmt(edges / trials) + ")",
+        std::move(size),
         std::to_string(cfg.s),
         util::Table::fmt(inter_edges / trials),
         util::Table::fmt(inter_cycles / trials),

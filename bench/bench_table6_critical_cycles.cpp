@@ -10,6 +10,7 @@
 #include "graph/cycles.hpp"
 #include "lis/lis_graph.hpp"
 #include "soc/cofdm.hpp"
+#include "util/split.hpp"
 
 int main(int argc, char** argv) {
   using namespace lid;
@@ -56,8 +57,10 @@ int main(int argc, char** argv) {
   util::Table table({"cycle (blocks)", "cycle mean", "as decimal"});
   int id = 0;
   for (const Row& row : rows) {
-    table.add_row({"C" + std::to_string(++id) + ": (" + row.blocks + ")", row.mean.to_string(),
-                   util::Table::fmt(row.mean.to_double())});
+    std::string name(1, 'C');
+    util::append_decimal(name, ++id);
+    name.append(": (").append(row.blocks).push_back(')');
+    table.add_row({std::move(name), row.mean.to_string(), util::Table::fmt(row.mean.to_double())});
   }
   table.print(std::cout);
 

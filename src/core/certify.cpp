@@ -76,11 +76,11 @@ verify::Certificate certify_sizing(const lis::LisGraph& original, const QsReport
     }
   }
 
-  // Lower-bound section: only when the lazy solve converged on the pristine
+  // Lower-bound section: only when the lazy solve ran on the pristine
   // (uncollapsed) graph, so the recorded cycles' place ids are valid in the
-  // d[G] the checker re-expands. A fallback or collapse leaves the section
-  // out (constraint_count stays -1).
-  if (report.lazy.has_value() && !report.lazy->fell_back && !report.problem.scc_collapsed) {
+  // d[G] the checker re-expands. A collapse leaves the section out
+  // (constraint_count stays -1).
+  if (report.lazy.has_value() && !report.problem.scc_collapsed) {
     cert.constraint_count = static_cast<std::int64_t>(report.lazy_constraints.size());
     cert.constraints = report.lazy_constraints;
   }

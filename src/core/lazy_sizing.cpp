@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <string>
 #include <utility>
 
 #include "core/exact_milp.hpp"
@@ -19,22 +19,9 @@ using util::Rational;
 
 /// Safety cap on separation rounds. The loop provably terminates (every
 /// added constraint is violated by the current weights, so cycles never
-/// repeat), but a cap bounds the damage of any future regression; hitting it
-/// triggers the full-enumeration fallback, never a wrong answer.
+/// repeat), but a cap bounds the damage of any future regression: reaching
+/// it fails the call, never returns a sizing that misses its target.
 constexpr std::int64_t kMaxLazyIterations = 512;
-
-/// The full eager pipeline, used when the lazy loop cannot make progress.
-QsReport run_fallback(const LisGraph& lis, const Rational& theta_ideal,
-                      const Rational& theta_practical, const QsOptions& options,
-                      LazyStats stats) {
-  stats.fell_back = true;
-  QsOptions full = options;
-  full.method = QsMethod::kBoth;
-  QsReport report = size_queues_on_problem(
-      lis, build_qs_problem_with_mst(lis, theta_ideal, theta_practical, full.build), full);
-  report.lazy = stats;
-  return report;
-}
 
 }  // namespace
 
@@ -85,60 +72,66 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
   TdInstance& td = report.problem.td;
   std::map<ChannelId, int> set_of_channel;  // first-sighting stable indices
   std::vector<ChannelId> target_channels;
-  std::vector<std::int64_t> weights;   // current optimal weights, one per set
-  std::int64_t proven_total = 0;       // optimum of the current sub-instance
+  std::vector<std::int64_t> weights;  // current weights, one per set
+  std::int64_t total = 0;             // their sum
+  bool proven = true;                 // the last sub-solve proved its optimum
   std::int64_t nodes_explored = 0;
-  std::set<std::vector<mg::PlaceId>> seen_cycles;  // sorted place signatures
   std::vector<ChannelId> cycle_channels;
   mg::MeanCycle critical;  // buffer reused across iterations
 
-  bool converged = false;
-  while (stats.iterations < kMaxLazyIterations) {
+  for (;;) {
     if (options.build.cancel.cancelled()) {
       report.problem.cancelled = true;
-      report.lazy->howard_warm_restarts = mcm.stats().warm_restarts - warm_before;
-      return report;
+      break;
     }
     ++stats.iterations;
 
     // Separation oracle: does the current marking already sustain the
     // target? Howard hands back the critical cycle for free if not.
     const bool cyclic = mg::min_cycle_mean_howard(work, mcm, critical);
-    if (!cyclic || Rational::min(Rational(1), critical.mean) >= theta) {
-      converged = true;
-      break;
-    }
+    if (!cyclic || Rational::min(Rational(1), critical.mean) >= theta) break;
+    LID_ENSURE(stats.iterations < kMaxLazyIterations,
+               "size_queues: lazy sizing did not reach its target within " +
+                   std::to_string(kMaxLazyIterations) + " separation rounds");
 
     // The new constraint uses the PRISTINE marking (like the eager builder):
     // the critical cycle needs `deficit` extra tokens on its queue backedges
-    // to reach the target mean.
+    // to reach the target mean. `covered` is what the current weights put on
+    // them, so the constraint reads covered >= deficit at those weights.
     std::int64_t pristine_tokens = 0;
-    for (const mg::PlaceId p : critical.cycle) pristine_tokens += expansion.graph.tokens(p);
-    const std::int64_t deficit = cycle_deficit(
-        pristine_tokens, static_cast<std::int64_t>(critical.cycle.size()), theta);
+    std::int64_t covered = 0;
     cycle_channels.clear();
     for (const mg::PlaceId p : critical.cycle) {
+      pristine_tokens += expansion.graph.tokens(p);
+      covered += work.tokens(p) - expansion.graph.tokens(p);
       if (expansion.is_queue_place(p)) {
         cycle_channels.push_back(expansion.place_channel[static_cast<std::size_t>(p)]);
       }
     }
-    std::sort(cycle_channels.begin(), cycle_channels.end());
-    cycle_channels.erase(std::unique(cycle_channels.begin(), cycle_channels.end()),
-                         cycle_channels.end());
-
-    std::vector<mg::PlaceId> signature = critical.cycle;
-    std::sort(signature.begin(), signature.end());
-    // Each of these means the loop cannot make progress here: a degrading
-    // cycle with no sizable queue, a zero deficit against the pristine
-    // marking, or a cycle we already constrained. All are impossible while
-    // the invariants hold, so they route to the always-correct fallback.
-    if (cycle_channels.empty() || deficit <= 0 ||
-        !seen_cycles.insert(std::move(signature)).second) {
-      return run_fallback(lis, theta_ideal, theta_practical, options, stats);
+    const std::int64_t deficit = cycle_deficit(
+        pristine_tokens, static_cast<std::int64_t>(critical.cycle.size()), theta);
+    // A cycle below the target holds fewer tokens than it needs, so the
+    // current weights violate its constraint (covered >= 0 also makes the
+    // deficit positive). They satisfy every earlier constraint, so the cycle
+    // is new; and a cycle of forward places alone is a cycle of G, whose
+    // mean is at least θ(G), so it has a queue channel.
+    LID_ASSERT(!cycle_channels.empty(), "lazy sizing: degrading cycle without a queue channel");
+    LID_ASSERT(covered < deficit, "lazy sizing: the current weights already meet the constraint");
+    ++stats.cycles_generated;
+    // Without the SCC collapse, `target` IS `lis`, so the cycle's place ids
+    // are valid in the pristine d[G]: record the constraint as the sizing
+    // certificate states it (queue channels in cycle order).
+    if (!build_target.collapsed_used) {
+      report.lazy_constraints.push_back({deficit,
+                                         {cycle_channels.begin(), cycle_channels.end()},
+                                         {critical.cycle.begin(), critical.cycle.end()}});
     }
 
     // Grow the instance: one new cycle, sets keyed by channel with
     // first-sighting indices (so previous weights stay aligned).
+    std::sort(cycle_channels.begin(), cycle_channels.end());
+    cycle_channels.erase(std::unique(cycle_channels.begin(), cycle_channels.end()),
+                         cycle_channels.end());
     const int cycle_index = static_cast<int>(td.deficits.size());
     td.deficits.push_back(deficit);
     for (const ChannelId ch : cycle_channels) {
@@ -150,45 +143,25 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
       }
       td.set_members[static_cast<std::size_t>(it->second)].push_back(cycle_index);
     }
-    ++stats.cycles_generated;
-    // Without the SCC collapse, `target` IS `lis`, so the cycle's place ids
-    // are valid in the pristine d[G]: record the constraint as the sizing
-    // certificate states it (queue channels in cycle order).
-    if (!build_target.collapsed_used) {
-      verify::DeficitConstraint dc;
-      dc.deficit = deficit;
-      dc.cycle.reserve(critical.cycle.size());
-      for (const mg::PlaceId p : critical.cycle) {
-        dc.cycle.push_back(static_cast<std::int64_t>(p));
-        if (expansion.is_queue_place(p)) {
-          dc.channels.push_back(expansion.place_channel[static_cast<std::size_t>(p)]);
-        }
-      }
-      report.lazy_constraints.push_back(std::move(dc));
-    }
 
     // Re-solve on the paper's simplified sub-instance: the reductions commit
-    // the forced tokens, and the heuristic seeds the LP branch and bound's
-    // incumbent on what is left.
+    // the forced tokens, and the heuristic's cover seeds the LP branch and
+    // bound's incumbent on what is left.
     const SimplifiedTd simplified = simplify(td, options.simplify_options);
-    const ExactResult solved = solve_exact_milp(
-        simplified.reduced, solve_heuristic(simplified.reduced, options.heuristic), options.exact);
+    const TdSolution cover = solve_heuristic(simplified.reduced, options.heuristic);
+    const ExactResult solved = solve_exact_milp(simplified.reduced, cover, options.exact);
     nodes_explored += solved.nodes_explored;
     if (solved.cancelled) {
       report.problem.cancelled = true;
-      report.lazy->howard_warm_restarts = mcm.stats().warm_restarts - warm_before;
-      return report;
+      break;
     }
-    if (!solved.solution) {
-      // Node/time budget cut the sub-solve off — deterministic for node
-      // budgets, so the fallback (and thus the response) stays a pure
-      // function of the request.
-      return run_fallback(lis, theta_ideal, theta_practical, options, stats);
-    }
-    TdSolution full = simplified.lift(*solved.solution);
+    // A budget cut keeps the cover: it is feasible on the sub-instance, which
+    // is all the next separation round needs.
+    proven = solved.solution.has_value();
+    TdSolution full = simplified.lift(proven ? *solved.solution : cover);
     LID_ASSERT(td.is_feasible(full.weights), "lazy sub-solve infeasible on the sub-instance");
     weights = std::move(full.weights);
-    proven_total = full.total;
+    total = full.total;
 
     // Re-marking: every sized queue gets pristine tokens + its weight.
     for (std::size_t s = 0; s < weights.size(); ++s) {
@@ -196,21 +169,22 @@ QsReport size_queues_lazy_with_mst(const LisGraph& lis, const Rational& theta_id
       work.set_tokens(qp, expansion.graph.tokens(qp) + weights[s]);
     }
   }
-  if (!converged) {
-    return run_fallback(lis, theta_ideal, theta_practical, options, stats);
-  }
+  report.lazy->howard_warm_restarts = mcm.stats().warm_restarts - warm_before;
+  if (report.problem.cancelled) return report;
 
   report.problem.problem_cycles = td.num_cycles();
   report.problem.channels.reserve(target_channels.size());
   for (const ChannelId ch : target_channels) {
     report.problem.channels.push_back(build_target.origin(ch));
   }
-  report.lazy->howard_warm_restarts = mcm.stats().warm_restarts - warm_before;
 
+  // Howard shows the weights meet the target on the whole instance. The last
+  // sub-solve's optimum, when proven, is the optimum of a relaxation of it,
+  // so it is the whole instance's optimum too.
   SolverOutcome outcome;
   outcome.weights = std::move(weights);
-  outcome.total_extra_tokens = proven_total;
-  outcome.finished = true;
+  outcome.total_extra_tokens = total;
+  outcome.finished = proven;
   outcome.nodes_explored = nodes_explored;
   outcome.cpu_ms = timer.elapsed_ms();
   report.exact = std::move(outcome);

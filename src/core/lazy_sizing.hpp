@@ -1,5 +1,5 @@
-// Lazy critical-cycle constraint generation — queue sizing without up-front
-// cycle enumeration.
+// Lazy critical-cycle constraint generation — queue sizing without cycle
+// enumeration.
 //
 // The eager pipeline (qs_problem.hpp) enumerates every elementary cycle of
 // the doubled graph before the first sizing decision, even though the
@@ -31,9 +31,9 @@
 // rounds reuse the previous Howard policy via mg::Workspace, so a re-solve
 // costs a few policy improvements instead of a cold start.
 //
-// When progress stalls (duplicate cycle, sub-solve cut off by budget, or a
-// degrading cycle without a sizable queue) the driver falls back to the
-// bounded full pipeline (QsMethod::kBoth) and reports it in LazyStats.
+// A round whose sub-solve the exact budget cuts off keeps the heuristic's
+// cover, which is all the next separation needs; the total is then proven
+// only if the last round's sub-solve proved (SolverOutcome::finished).
 #pragma once
 
 #include <optional>
@@ -44,9 +44,9 @@
 namespace lid::core {
 
 /// Runs the lazy solver on `lis`. `options.method` is ignored (this *is*
-/// the kLazy implementation); `options.exact` budgets each sub-solve and the
-/// fallback, `options.build` supplies target/cancel/collapse knobs, and
-/// `options.simplify` applies only to the fallback pipeline. `workspace`
+/// the kLazy implementation); `options.exact` budgets each sub-solve,
+/// `options.build` supplies the target/cancel/collapse knobs, and
+/// `options.simplify` and `options.build.max_cycles` do not apply. `workspace`
 /// optionally shares a Howard workspace across calls (engine pooling); null
 /// uses a solve-local one. θ(G) comes from one evidence pass on G, which the
 /// report carries (QsReport::ideal_evidence) for the certificate;

@@ -37,8 +37,8 @@ namespace lid::core {
 
 /// Options for instance construction.
 struct QsBuildOptions {
-  /// Hard cap on enumerated cycles; 0 = unlimited. When hit, `truncated` is
-  /// set and the instance covers only the cycles found so far.
+  /// Hard cap on enumerated cycles (eager solvers only); 0 = unlimited. When
+  /// hit, `truncated` is set and the instance covers only the cycles found.
   std::size_t max_cycles = 2'000'000;
   /// Apply the SCC-collapse fast path when the topology allows it.
   bool allow_scc_collapse = true;

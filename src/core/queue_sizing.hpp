@@ -29,8 +29,7 @@ enum class QsMethod {
   kExact,
   kBoth,
   /// Lazy critical-cycle constraint generation (src/core/lazy_sizing.hpp):
-  /// exact-quality results without up-front cycle enumeration, falling back
-  /// to the full kBoth pipeline when progress stalls.
+  /// exact-quality results without any cycle enumeration.
   kLazy,
 };
 
@@ -43,8 +42,8 @@ struct LazyStats {
   std::int64_t cycles_generated = 0;
   /// Warm-started Howard solves performed by this run's MCM workspace.
   std::int64_t howard_warm_restarts = 0;
-  /// True when the lazy loop stalled (duplicate cycle, budget cut-off,
-  /// unsizable cycle) and the bounded full-enumeration pipeline took over.
+  /// Always false: the lazy solver has no fallback. Kept because the frozen
+  /// perfbench workload (perfbench/src/scale_certify.cpp) still reads it.
   bool fell_back = false;
 };
 
@@ -52,7 +51,7 @@ struct LazyStats {
 struct QsOptions {
   QsMethod method = QsMethod::kHeuristic;
   QsBuildOptions build;
-  /// Run the TD simplification pass before solving (paper Sec. VII-A).
+  /// Run the TD simplification pass (paper Sec. VII-A); eager methods only.
   bool simplify = true;
   SimplifyOptions simplify_options;
   HeuristicOptions heuristic;
@@ -69,7 +68,8 @@ struct SolverOutcome {
   std::vector<std::int64_t> weights;
   std::int64_t total_extra_tokens = 0;
   double cpu_ms = 0.0;
-  /// Exact solver only: true when it proved optimality within its budget.
+  /// Exact solver only: true when it proved optimality within its budget
+  /// (lazy: when its last round's sub-solve proved).
   bool finished = true;
   /// Exact solver only: true when the cancel token (not the node/time
   /// budget) ended the search.
@@ -90,8 +90,7 @@ struct QsReport {
   lis::LisGraph sized;
   /// MST of `sized` (filled when options.verify).
   util::Rational achieved_mst;
-  /// Present when the lazy solver ran (method kLazy), including when it fell
-  /// back to full enumeration.
+  /// Present when the lazy solver ran (method kLazy).
   std::optional<LazyStats> lazy;
   /// The lazy solver's generated constraints as a sizing certificate states
   /// them: each critical cycle's place ids in the *pristine* (unsized,

@@ -65,11 +65,9 @@ void run_qs_lazy(const EngineOptions& options, AnalysisCache& cache, Metrics& me
   if (report.lazy) {
     out.qs_lazy_iterations = report.lazy->iterations;
     out.qs_cycles_generated = report.lazy->cycles_generated;
-    out.qs_lazy_fell_back = report.lazy->fell_back;
     metrics.count("lazy_iterations", report.lazy->iterations);
     metrics.count("cycles_generated", report.lazy->cycles_generated);
     metrics.count("howard_warm_restarts", report.lazy->howard_warm_restarts);
-    if (report.lazy->fell_back) metrics.count("lazy_fallbacks");
   }
 }
 
@@ -231,7 +229,6 @@ std::string InstanceResult::serialize() const {
   if (qs_lazy_iterations) {
     append_field(os, "lazy_iters", std::to_string(*qs_lazy_iterations));
     append_field(os, "lazy_cycles", std::to_string(qs_cycles_generated.value_or(0)));
-    if (qs_lazy_fell_back) append_field(os, "lazy_fallback", "1");
   }
   if (rs_added) {
     append_field(os, "rs_added", std::to_string(*rs_added));

@@ -98,11 +98,9 @@ struct InstanceResult {
   /// Cycles enumerated while building the QS problem.
   std::optional<std::size_t> qs_cycles = {};
   bool qs_truncated = false;
-  /// kQsLazy only: separation rounds, constraints generated, and whether the
-  /// lazy loop fell back to full enumeration.
+  /// kQsLazy only: separation rounds and constraints generated.
   std::optional<std::int64_t> qs_lazy_iterations;
   std::optional<std::int64_t> qs_cycles_generated;
-  bool qs_lazy_fell_back = false;
   std::optional<int> rs_added;
   bool rs_reached_ideal = false;
   std::optional<std::size_t> rate_hazards;

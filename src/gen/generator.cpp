@@ -5,6 +5,8 @@
 #include <numeric>
 #include <set>
 
+#include "util/split.hpp"
+
 namespace lid::gen {
 namespace {
 
@@ -36,6 +38,19 @@ std::vector<std::vector<CoreId>> partition_vertices(int vertices, int sccs, Rng&
     next += static_cast<std::size_t>(size);
   }
   return groups;
+}
+
+/// Adds a rows × cols grid of cores, row by row, named "n<row>_<col>".
+void add_grid_cores(LisGraph& lis, int rows, int cols) {
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      std::string name(1, 'n');
+      util::append_decimal(name, r);
+      name.push_back('_');
+      util::append_decimal(name, c);
+      lis.add_core(std::move(name));
+    }
+  }
 }
 
 }  // namespace
@@ -199,11 +214,7 @@ LisGraph generate_mesh(int rows, int cols, int relay_stations, Rng& rng) {
   LID_ENSURE(relay_stations >= 0, "generate_mesh: negative relay-station count");
   LisGraph lis;
   const auto node = [&](int r, int c) { return static_cast<CoreId>(r * cols + c); };
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      lis.add_core("n" + std::to_string(r) + "_" + std::to_string(c));
-    }
-  }
+  add_grid_cores(lis, rows, cols);
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
       if (c + 1 < cols) {
@@ -230,11 +241,7 @@ LisGraph generate_torus(int rows, int cols, int relay_stations, Rng& rng) {
   const auto node = [&](int r, int c) {
     return static_cast<CoreId>(((r + rows) % rows) * cols + (c + cols) % cols);
   };
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      lis.add_core("n" + std::to_string(r) + "_" + std::to_string(c));
-    }
-  }
+  add_grid_cores(lis, rows, cols);
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
       lis.add_channel(node(r, c), node(r, c + 1));  // east

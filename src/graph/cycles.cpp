@@ -1,11 +1,14 @@
 #include "graph/cycles.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "graph/scc.hpp"
 
 namespace lid::graph {
 namespace {
+
+std::atomic<std::uint64_t> g_enumerated_cycles{0};
 
 /// Johnson's elementary-circuit enumeration, extended to multigraphs: cycles
 /// are vertex-elementary, and parallel edges produce one cycle per distinct
@@ -46,6 +49,7 @@ class JohnsonEnumerator {
       start_ = s;
       circuit(s);
     }
+    g_enumerated_cycles.fetch_add(emitted_, std::memory_order_relaxed);
     return !stopped_;
   }
 
@@ -109,6 +113,7 @@ class JohnsonEnumerator {
       if (w == start_) {
         Cycle cycle = edge_stack_;
         cycle.push_back(e);
+        ++emitted_;
         if (!on_cycle_(cycle)) stopped_ = true;
         found = true;
       } else if (!blocked_[static_cast<std::size_t>(w)]) {
@@ -159,6 +164,7 @@ class JohnsonEnumerator {
   bool stopped_ = false;
   bool cancelled_ = false;
   std::uint64_t poll_counter_ = 0;
+  std::uint64_t emitted_ = 0;
   std::vector<char> blocked_;
   std::vector<std::vector<NodeId>> block_map_;
   std::vector<char> in_round_;
@@ -190,6 +196,8 @@ CycleEnumResult enumerate_cycles(const Digraph& g, const CycleEnumOptions& optio
   result.cancelled = enumerator.cancelled();
   return result;
 }
+
+std::uint64_t enumerated_cycles() { return g_enumerated_cycles.load(std::memory_order_relaxed); }
 
 bool has_cycle(const Digraph& g) {
   const SccPartition part = scc(g);

@@ -56,6 +56,10 @@ bool for_each_cycle(const Digraph& g, const std::function<bool(const Cycle&)>& o
                     const std::function<bool(EdgeId)>& edge_filter = nullptr,
                     const util::CancelToken& cancel = {});
 
+/// Cycles emitted by every enumeration in this process so far, added once
+/// per enumeration: the runtime half of scripts/check_no_enumeration.sh.
+std::uint64_t enumerated_cycles();
+
 /// True if `g` has at least one cycle (self-loops count).
 bool has_cycle(const Digraph& g);
 

@@ -130,7 +130,6 @@ Result<Sizing> sizing_from_report(const lis::LisGraph& lis, const core::QsReport
     sizing.lazy_iterations = report.lazy->iterations;
     sizing.cycles_generated = report.lazy->cycles_generated;
     sizing.howard_warm_restarts = report.lazy->howard_warm_restarts;
-    sizing.lazy_fell_back = report.lazy->fell_back;
   }
   for (const lis::ChannelId ch : report.problem.channels) {
     const int before = lis.channel(ch).queue_capacity;

@@ -239,15 +239,15 @@ enum class Solver {
   kExact,      ///< branch-and-bound (optimal, budgeted)
   kBoth,
   kLazy,  ///< lazy critical-cycle constraint generation (optimal; no
-          ///< up-front cycle enumeration, falls back to kBoth on stall)
+          ///< cycle enumeration)
 };
 
 struct SizeQueuesOptions {
   /// Default kLazy: optimal totals without enumerating the cycles of d[G]
-  /// up front (it generates only the binding critical cycles and falls back
-  /// to the eager kBoth pipeline on stall), so the default path scales to
-  /// netlists whose cycle count is astronomical. Pick kBoth/kHeuristic/
-  /// kExact explicitly to force the eager pipeline.
+  /// (it generates only the binding critical cycles), so the default path
+  /// scales to netlists whose cycle count is astronomical; a budget cut
+  /// still reaches the target, with exact_proved == false. Pick kBoth/
+  /// kHeuristic/kExact explicitly to force the eager pipeline.
   Solver solver = Solver::kLazy;
   /// Wall-clock budget of the exact solver; <= 0 means unlimited. Wall-clock
   /// cutoffs are load-dependent; prefer exact_max_nodes when reproducibility
@@ -257,12 +257,12 @@ struct SizeQueuesOptions {
   /// tableau cells simplex pivots rewrite in the lazy solver's LP
   /// sub-solves (see core::ExactOptions::max_nodes); 0 means unlimited.
   std::int64_t exact_max_nodes = 0;
-  /// Cap on enumerated cycles (0 = unlimited).
+  /// Cap on enumerated cycles (0 = unlimited). Eager solvers only.
   std::size_t max_cycles = 2'000'000;
   /// Run the paper's TD-instance reductions before solving. Leave on except
   /// for ablation, or to force the exact search to work on the raw instance
   /// (the reductions collapse most instances to a zero-probe search, which
-  /// makes node budgets and cancel tokens unobservable).
+  /// makes node budgets and cancel tokens unobservable). Eager solvers only.
   bool simplify = true;
   /// Target throughput; 0 means the ideal MST θ(G).
   util::Rational target = util::Rational(0);
@@ -312,7 +312,6 @@ struct Sizing {
   std::int64_t lazy_iterations = 0;    ///< separation rounds run
   std::int64_t cycles_generated = 0;   ///< critical-cycle constraints added
   std::int64_t howard_warm_restarts = 0;  ///< warm-started Howard solves
-  bool lazy_fell_back = false;  ///< full enumeration took over mid-solve
   /// The sizing certificate (present when SizeQueuesOptions::certify).
   std::optional<verify::Certificate> certificate;
 };

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "graph/cycles.hpp"
+#include "util/split.hpp"
 
 namespace lid::mg {
 
@@ -20,14 +21,19 @@ MarkedGraph::MarkedGraph(std::vector<TransitionKind> kinds, std::vector<std::str
              "MarkedGraph: one token count and kind per place");
   for (const std::int64_t t : tokens_) LID_ENSURE(t >= 0, "MarkedGraph: negative token count");
   for (std::size_t t = 0; t < names_.size(); ++t) {
-    if (names_[t].empty()) names_[t] = "t" + std::to_string(t);
+    if (!names_[t].empty()) continue;
+    names_[t].push_back('t');
+    util::append_decimal(names_[t], t);
   }
 }
 
 TransitionId MarkedGraph::add_transition(TransitionKind kind, std::string name) {
   const TransitionId t = structure_.add_node();
   kinds_.push_back(kind);
-  if (name.empty()) name = "t" + std::to_string(t);
+  if (name.empty()) {
+    name.push_back('t');
+    util::append_decimal(name, t);
+  }
   names_.push_back(std::move(name));
   return t;
 }

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "util/check.hpp"
+#include "util/split.hpp"
 
 namespace lid::npc {
 
@@ -112,8 +113,11 @@ QsReduction reduce_vc_to_qs(const VcInstance& instance) {
   std::vector<lis::CoreId> a(static_cast<std::size_t>(instance.vertices));
   std::vector<lis::CoreId> b(static_cast<std::size_t>(instance.vertices));
   for (int v = 0; v < instance.vertices; ++v) {
-    a[static_cast<std::size_t>(v)] = out.lis.add_core("a" + std::to_string(v));
-    b[static_cast<std::size_t>(v)] = out.lis.add_core("b" + std::to_string(v));
+    std::string name(1, 'a');
+    util::append_decimal(name, v);
+    a[static_cast<std::size_t>(v)] = out.lis.add_core(name);
+    name[0] = 'b';
+    b[static_cast<std::size_t>(v)] = out.lis.add_core(std::move(name));
     out.vertex_construct.push_back(
         out.lis.add_channel(a[static_cast<std::size_t>(v)], b[static_cast<std::size_t>(v)]));
   }

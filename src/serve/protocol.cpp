@@ -373,7 +373,6 @@ Outcome sizing_outcome(const Sizing& sizing) {
   if (sizing.solver_lazy) {
     w.key("lazy_iterations").value(sizing.lazy_iterations);
     w.key("cycles_generated").value(sizing.cycles_generated);
-    w.key("lazy_fell_back").value(sizing.lazy_fell_back);
   }
   w.key("changes").begin_array();
   for (const QueueChange& change : sizing.changes) {
@@ -396,7 +395,6 @@ Outcome sizing_outcome(const Sizing& sizing) {
     outcome.lazy_iterations = sizing.lazy_iterations;
     outcome.lazy_cycles_generated = sizing.cycles_generated;
     outcome.lazy_warm_restarts = sizing.howard_warm_restarts;
-    outcome.lazy_fell_back = sizing.lazy_fell_back;
   }
   return outcome;
 }
@@ -406,9 +404,8 @@ Outcome do_size_queues(ArgReader& reader, const ExecLimits& limits, const ExecCo
   const OnDeadline policy = request.on_deadline;
   const ModelRef ref = read_model_ref(reader, limits);
   SizeQueuesOptions options;
-  // Default "lazy": constraint generation, falling back to full enumeration
-  // deterministically when it cannot make progress. "full" is an alias for
-  // the eager heuristic+exact pipeline ("both").
+  // Default "lazy": constraint generation, no cycle enumeration. "full" is
+  // an alias for the eager heuristic+exact pipeline ("both").
   const std::string solver = reader.get_string("solver", "lazy");
   if (solver == "heuristic") {
     options.solver = Solver::kHeuristic;

@@ -165,7 +165,6 @@ struct Outcome {
   std::int64_t lazy_iterations = 0;
   std::int64_t lazy_cycles_generated = 0;
   std::int64_t lazy_warm_restarts = 0;
-  bool lazy_fell_back = false;
 
   static Outcome success(std::string payload_json);
   static Outcome failure(std::string code, std::string message);

@@ -157,7 +157,6 @@ void Server::handle_message(const std::shared_ptr<Connection>& connection, Messa
             metrics_.count("lazy_iterations", outcome.lazy_iterations);
             metrics_.count("lazy_cycles_generated", outcome.lazy_cycles_generated);
             metrics_.count("howard_warm_restarts", outcome.lazy_warm_restarts);
-            if (outcome.lazy_fell_back) metrics_.count("lazy_fallbacks");
           }
           if (!outcome.ok && outcome.error_code == codes::kDeadlineExceeded) {
             metrics_.count("requests_deadline_exceeded");

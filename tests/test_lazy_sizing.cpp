@@ -1,20 +1,24 @@
 // Lazy constraint generation (core/lazy_sizing.hpp): equivalence with the
 // full enumerate-everything pipeline on the checked-in corpus, the COFDM SoC,
 // the paper examples and 50 generated systems, convergence of certified
-// 3*10^4-core sizings, plus the warm-start contract of the mg::Workspace
-// Howard kernel that backs the separation oracle.
+// 3*10^4-core sizings, sizings whose exact budget cuts rounds off (still on
+// target, never enumerating), plus the warm-start contract of the
+// mg::Workspace Howard kernel that backs the separation oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/certify.hpp"
 #include "core/exact.hpp"
+#include "core/exact_milp.hpp"
 #include "core/heuristic.hpp"
 #include "core/lazy_sizing.hpp"
 #include "core/queue_sizing.hpp"
 #include "gen/generator.hpp"
+#include "graph/cycles.hpp"
 #include "lis/netlist_io.hpp"
 #include "lis/paper_systems.hpp"
 #include "mg/mcm.hpp"
@@ -113,7 +117,7 @@ TEST(LazySizing, ReportsIterationAndConstraintCounts) {
   options.method = QsMethod::kLazy;
   const QsReport r = size_queues(lis::make_fig15_counterexample(), options);
   ASSERT_TRUE(r.lazy.has_value());
-  EXPECT_FALSE(r.lazy->fell_back);
+  EXPECT_EQ(r.problem.cycles_enumerated, 0u);
   EXPECT_GE(r.lazy->iterations, 1);
   EXPECT_GE(r.lazy->cycles_generated, 1);
   // Every iteration after the first re-solves the same (remarked) structure.
@@ -142,18 +146,54 @@ TEST(LazySizing, PreCancelledTokenReportsCancelledProblem) {
   EXPECT_FALSE(r.exact.has_value());
 }
 
+/// `gen --v V --s S --c C --rs RS --seed N`.
+lis::LisGraph generated(int vertices, int sccs, int chords, int relay_stations,
+                        std::uint64_t seed) {
+  gen::GeneratorParams params;
+  params.vertices = vertices;
+  params.sccs = sccs;
+  params.min_cycles = chords;
+  params.relay_stations = relay_stations;
+  util::Rng rng(seed);
+  return gen::generate(params, rng);
+}
+
 /// 30000 cores, 60 SCCs, 120 extra cycles per SCC, 1500 relay stations —
 /// `gen --v 30000 --s 60 --c 120 --rs 1500 --seed N`. The final sub-instance
 /// of seed 7 has 12 cycles; the paper's exact search needs ~10^8 nodes to
 /// prove its optimum unsimplified, the simplified one none.
-lis::LisGraph scale_system(std::uint64_t seed) {
-  gen::GeneratorParams params;
-  params.vertices = 30'000;
-  params.sccs = 60;
-  params.min_cycles = 120;
-  params.relay_stations = 1'500;
-  util::Rng rng(seed);
-  return gen::generate(params, rng);
+lis::LisGraph scale_system(std::uint64_t seed) { return generated(30'000, 60, 120, 1'500, seed); }
+
+/// Which rounds of a finished lazy solve the exact budget cut off. Round k
+/// re-solved the sub-instance of the first k generated cycles (sets appear
+/// in first-sighting order, so its sets are a prefix too); this re-solves
+/// each the solver's way.
+std::vector<bool> cut_rounds(const TdInstance& td, const QsOptions& options) {
+  std::vector<bool> cut;
+  for (int k = 1; k <= static_cast<int>(td.num_cycles()); ++k) {
+    TdInstance round;
+    round.deficits.assign(td.deficits.begin(), td.deficits.begin() + k);
+    for (const std::vector<int>& members : td.set_members) {
+      if (members.front() >= k) break;
+      std::vector<int>& kept = round.set_members.emplace_back();
+      for (const int c : members) {
+        if (c < k) kept.push_back(c);
+      }
+    }
+    const SimplifiedTd simplified = simplify(round, options.simplify_options);
+    const ExactResult solved = solve_exact_milp(
+        simplified.reduced, solve_heuristic(simplified.reduced, options.heuristic), options.exact);
+    cut.push_back(!solved.solution.has_value());
+  }
+  return cut;
+}
+
+/// The certified sizing of `r` passes the independent checker.
+void expect_certificate_verifies(const lis::LisGraph& lis, const QsReport& r) {
+  const verify::Certificate cert = certify_sizing(lis, r);
+  EXPECT_EQ(cert.total, r.exact->total_extra_tokens);
+  const verify::CheckResult checked = verify::check(lis, cert);
+  EXPECT_TRUE(checked.ok) << checked.detail;
 }
 
 class LazySizingAtScale : public ::testing::TestWithParam<std::uint64_t> {};
@@ -163,14 +203,11 @@ TEST_P(LazySizingAtScale, CertifiedSizingConverges) {
 
   QsOptions options;
   options.method = QsMethod::kLazy;
-  // A sub-solve that cannot prove its round within this budget falls back
-  // to enumeration, which the small cycle cap keeps short — either way the
-  // test fails fast instead of stalling.
+  // A budget that every round's sub-solve proves within, so the test fails
+  // fast instead of stalling.
   options.exact.max_nodes = 10'000;
-  options.build.max_cycles = 1'000;
   const QsReport r = size_queues(lis, options);
   ASSERT_TRUE(r.lazy.has_value());
-  EXPECT_FALSE(r.lazy->fell_back);
   ASSERT_TRUE(r.exact.has_value());
   EXPECT_TRUE(r.exact->finished);
   EXPECT_GT(r.lazy->iterations, 1);
@@ -186,11 +223,7 @@ TEST_P(LazySizingAtScale, CertifiedSizingConverges) {
       solve_exact(simplified.reduced, solve_heuristic(simplified.reduced));
   ASSERT_TRUE(reference.solution.has_value());
   EXPECT_EQ(r.exact->total_extra_tokens, simplified.lift(*reference.solution).total);
-
-  const verify::Certificate cert = certify_sizing(lis, r);
-  EXPECT_EQ(cert.total, r.exact->total_extra_tokens);
-  const verify::CheckResult checked = verify::check(lis, cert);
-  EXPECT_TRUE(checked.ok) << checked.detail;
+  expect_certificate_verifies(lis, r);
 }
 
 // On seed 8 the heuristic misses some rounds' reduced optimum, so the LP
@@ -209,8 +242,93 @@ TEST(LazySizing, CancelReachesTheLpSubSolve) {
   const QsReport r = size_queues(scale_system(7), options);
   EXPECT_TRUE(r.problem.cancelled);
   ASSERT_TRUE(r.lazy.has_value());
-  EXPECT_FALSE(r.lazy->fell_back);
   EXPECT_FALSE(r.exact.has_value());
+}
+
+TEST(LazySizing, BudgetCutRoundsKeepTheHeuristicCover) {
+  // `gen --v 8000 --s 80 --c 32 --rs 400 --seed 7`: 2,000 units cut off the
+  // last round among others. A cut round keeps the heuristic's cover, so the
+  // sizing still reaches the target, unproven, without enumerating a cycle
+  // (the small cycle cap would only bound an enumeration that started).
+  const lis::LisGraph lis = generated(8'000, 80, 32, 400, 7);
+  QsOptions options;
+  options.method = QsMethod::kLazy;
+  options.exact.max_nodes = 2'000;
+  options.build.max_cycles = 1'000;
+  const std::uint64_t enumerated = graph::enumerated_cycles();
+  const QsReport r = size_queues(lis, options);
+  EXPECT_EQ(graph::enumerated_cycles(), enumerated);
+  EXPECT_EQ(r.problem.cycles_enumerated, 0u);
+  ASSERT_TRUE(r.exact.has_value());
+  EXPECT_FALSE(r.exact->finished);
+  EXPECT_EQ(r.achieved_mst, Rational(1));
+  EXPECT_GE(r.exact->total_extra_tokens, 82);  // the unbudgeted optimum
+  EXPECT_TRUE(cut_rounds(r.problem.td, options).back());
+  expect_certificate_verifies(lis, r);
+}
+
+TEST(LazySizing, ProvenLastRoundMakesACutSolveOptimal) {
+  // `gen --v 12000 --s 120 --c 48 --rs 600 --seed 9` under the serve budget
+  // of 200,000 units: an early round is cut, the last one proves, and the
+  // total equals the unbudgeted optimum.
+  const lis::LisGraph lis = generated(12'000, 120, 48, 600, 9);
+  QsOptions options;
+  options.method = QsMethod::kLazy;
+  options.exact.max_nodes = 200'000;
+  const QsReport r = size_queues(lis, options);
+  ASSERT_TRUE(r.exact.has_value());
+  EXPECT_TRUE(r.exact->finished);
+  EXPECT_EQ(r.exact->total_extra_tokens, 141);
+  EXPECT_EQ(r.achieved_mst, Rational(1));
+  const std::vector<bool> cut = cut_rounds(r.problem.td, options);
+  EXPECT_NE(std::find(cut.begin(), cut.end(), true), cut.end());
+  EXPECT_FALSE(cut.back());
+  expect_certificate_verifies(lis, r);
+}
+
+TEST(LazySizing, BudgetCutSweepStaysOnTarget) {
+  // A slice of a differential sweep: 100 generated systems of about 1,000
+  // cores in 20 SCCs under a one-unit budget, which cuts off every round
+  // the reductions leave work for. A quarter have pipelined cores, a fifth
+  // a target between θ(d[G]) and θ(G). Every sizing reaches its target,
+  // certifies and enumerates nothing; a proven one is the optimum.
+  util::Rng seeder(2026);
+  int unproven = 0;
+  const std::uint64_t enumerated = graph::enumerated_cycles();
+  for (int i = 0; i < 100; ++i) {
+    SCOPED_TRACE(i);
+    util::Rng rng(seeder.fork_seed());
+    gen::GeneratorParams params;
+    params.vertices = rng.uniform_int(800, 1200);
+    params.sccs = params.vertices / 50;
+    params.min_cycles = 16;
+    params.relay_stations = params.vertices / 20;
+    lis::LisGraph lis = gen::generate(params, rng);
+    if (i % 4 == 1) {
+      for (lis::CoreId v = 0; v < static_cast<lis::CoreId>(lis.num_cores()); ++v) {
+        if (rng.flip(0.2)) lis.set_core_latency(v, rng.uniform_int(2, 3));
+      }
+    }
+    QsOptions options;
+    options.method = QsMethod::kLazy;
+    if (i % 5 == 0) {
+      options.build.target_mst = (lis::ideal_mst(lis) + lis::practical_mst(lis)) * Rational(1, 2);
+    }
+    const QsReport optimum = size_queues(lis, options);
+    options.exact.max_nodes = 1;
+    const QsReport r = size_queues(lis, options);
+    ASSERT_TRUE(r.exact.has_value() && optimum.exact.has_value());
+    EXPECT_GE(r.achieved_mst, r.problem.theta_target);
+    EXPECT_GE(r.exact->total_extra_tokens, optimum.exact->total_extra_tokens);
+    if (r.exact->finished) {
+      EXPECT_EQ(r.exact->total_extra_tokens, optimum.exact->total_extra_tokens);
+    } else {
+      ++unproven;
+    }
+    if (r.problem.has_degradation()) expect_certificate_verifies(lis, r);
+  }
+  EXPECT_EQ(graph::enumerated_cycles(), enumerated);
+  EXPECT_GE(unproven, 3);  // 6 of the 100
 }
 
 TEST(LazySizing, ExternalWorkspaceIsReusedAcrossCalls) {

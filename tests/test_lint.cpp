@@ -255,7 +255,7 @@ TEST(Checks, L301FiresOnDenseScc) {
   // K9 with all 72 ordered-pair channels: one SCC of d[G] with 9 transitions
   // and 144 places, cyclomatic number 136 >= the default threshold 60.
   lis::LisGraph dense;
-  for (int v = 0; v < 9; ++v) dense.add_core("C" + std::to_string(v));
+  for (int v = 0; v < 9; ++v) dense.add_core(std::string{'C', static_cast<char>('0' + v)});
   for (lis::CoreId a = 0; a < 9; ++a) {
     for (lis::CoreId b = 0; b < 9; ++b) {
       if (a != b) dense.add_channel(a, b);

@@ -20,7 +20,9 @@
 #include "serve/session.hpp"
 #include "util/cancel.hpp"
 #include "util/json.hpp"
+#include "util/split.hpp"
 #include "util/timer.hpp"
+#include "verify/certificate.hpp"
 
 namespace {
 
@@ -391,8 +393,10 @@ TEST(Server, DrainCompletesAdmittedRequests) {
   const std::string netlist = netlist_fixture(13);
   ASSERT_TRUE(client.send_message(R"({"id": "busy", "verb": "sleep", "ms": 100})"));
   for (int i = 0; i < 3; ++i) {
+    std::string id(1, 'q');
+    util::append_decimal(id, i);
     util::JsonWriter w;
-    w.begin_object().key("id").value("q" + std::to_string(i));
+    w.begin_object().key("id").value(id);
     w.key("verb").value("analyze").key("netlist").value(netlist).end_object();
     ASSERT_TRUE(client.send_message(w.str()));
   }
@@ -594,6 +598,69 @@ TEST(Protocol, DegradedPayloadIsByteIdenticalToDirectHeuristic) {
   ASSERT_TRUE(heuristic.ok) << heuristic.error_message;
   EXPECT_FALSE(heuristic.degraded);
   EXPECT_EQ(degraded.payload, heuristic.payload);
+}
+
+// A default (lazy) certified sizing whose exact budget cuts rounds off keeps
+// each cut round's heuristic cover: the answer is ok, untagged and unproven,
+// still reaches the target, its embedded certificate verifies, and the
+// registered model answers the same bytes.
+TEST(Server, BudgetCutLazySizingAnswersAVerifiedUnprovenSizing) {
+  GenerateOptions options;  // gen --v 8000 --s 80 --c 32 --rs 400 --seed 7
+  options.cores = 8'000;
+  options.sccs = 80;
+  options.extra_cycles = 32;
+  options.relay_stations = 400;
+  options.seed = 7;
+  const Result<Instance> instance = generate(options);
+  ASSERT_TRUE(instance);
+  const Result<std::string> netlist = netlist_text(*instance);
+  ASSERT_TRUE(netlist);
+  constexpr const char* kArgs = R"({"certify":true,"max_nodes":2000})";
+
+  serve::Server server(tcp_options(1));
+  ASSERT_TRUE(server.start());
+  Result<serve::Session> connected = serve::Session::connect_tcp("127.0.0.1", server.port(), {});
+  ASSERT_TRUE(connected) << connected.error().to_string();
+  serve::Session session = std::move(connected).value();
+
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("id").value("cut").key("verb").value("size-queues");
+  w.key("certify").value(true).key("max_nodes").value(2000);
+  w.key("netlist").value(*netlist);
+  w.end_object();
+  const Result<std::string> response = session.call(w.str());
+  ASSERT_TRUE(response) << response.error().to_string();
+  const util::JsonParse envelope = util::json_parse(*response);
+  ASSERT_TRUE(envelope.ok) << envelope.error;
+  const util::Json* ok = envelope.value.find("ok");
+  ASSERT_TRUE(ok != nullptr && ok->as_bool()) << response->substr(0, 400);
+  EXPECT_EQ(envelope.value.find("degraded"), nullptr);
+  const util::Json* result = envelope.value.find("result");
+  ASSERT_NE(result, nullptr);
+  const util::Json* proved = result->find("exact_proved");
+  ASSERT_NE(proved, nullptr);
+  EXPECT_FALSE(proved->as_bool());
+  EXPECT_EQ(result->find("lazy_fell_back"), nullptr);
+  const util::Json* achieved = result->find("achieved");
+  ASSERT_NE(achieved, nullptr);
+  EXPECT_EQ(achieved->as_string(), "1");
+  const util::Json* certificate = result->find("certificate");
+  ASSERT_NE(certificate, nullptr);
+  const verify::CertificateParse parsed = verify::parse_certificate(*certificate);
+  ASSERT_TRUE(parsed) << parsed.error;
+  const verify::CheckResult checked = verify::check(instance->graph(), parsed.certificate);
+  EXPECT_TRUE(checked.ok) << checked.detail;
+
+  const Result<serve::ModelHandle> handle = session.register_model(*netlist);
+  ASSERT_TRUE(handle) << handle.error().to_string();
+  const Result<std::string> registered = session.query(*handle, "size-queues", kArgs);
+  ASSERT_TRUE(registered) << registered.error().to_string();
+  const Result<std::string> inlined = serve::extract_result(*response);
+  ASSERT_TRUE(inlined);
+  EXPECT_EQ(*registered, *inlined);
+  session.close();
+  server.stop();
 }
 
 TEST(Protocol, DeadlineExpiredAtEntryHonorsPolicy) {

@@ -52,6 +52,9 @@
 //      (src/verify) through the facade — typed and JSON forms — and through
 //      lid_serve, where certified payloads are byte-identical between inline
 //      and registered requests over both the NDJSON and binary transports.
+// The lazy sizings, analyses and lints without a target that (10), (11),
+// (12) and (15) run enumerate no cycle: graph::enumerated_cycles() does not
+// move across them.
 // Exits nonzero on the first violation, printing the seed that triggers it.
 #include <unistd.h>
 
@@ -192,6 +195,7 @@ bool check_one(std::uint64_t trial_seed, bool verbose) {
 
   // (10) lazy constraint generation == full enumeration (reuses the full
   // pipeline's report from (4) as the reference).
+  const std::uint64_t enumerated = graph::enumerated_cycles();
   core::QsOptions lazy_options;
   lazy_options.method = core::QsMethod::kLazy;
   const core::QsReport lazy = core::size_queues(system, lazy_options);
@@ -212,6 +216,8 @@ bool check_one(std::uint64_t trial_seed, bool verbose) {
   // everything above already analyzed it, so a lint error here would mean
   // the pre-flight rejects models the solvers in fact handle.
   CHECK_OR_FAIL(linter::run_error_checks(system).empty(), "lint: generated system error-clean");
+  CHECK_OR_FAIL(graph::enumerated_cycles() == enumerated,
+                "lazy sizing and lint enumerate no cycle");
 
   // (13) DES cross-validation against the analytic stack, reusing the sized
   // netlist from (4).
@@ -380,6 +386,7 @@ bool check_serve(std::uint64_t trial_seed) {
 // path and the per-model payload memo (the second worker sweep replays every
 // query against warm memo entries).
 bool check_registry(std::uint64_t trial_seed) {
+  const std::uint64_t enumerated = graph::enumerated_cycles();
   util::Rng rng(trial_seed);
   std::vector<std::string> texts;
   for (int i = 0; i < 3; ++i) {
@@ -453,6 +460,7 @@ bool check_registry(std::uint64_t trial_seed) {
     }
     server.stop();
   }
+  CHECK_OR_FAIL(graph::enumerated_cycles() == enumerated, "registry: no cycle enumerated");
   return true;
 }
 
@@ -575,6 +583,7 @@ bool check_degrade(std::uint64_t trial_seed) {
 // the message — through the facade AND through the serve protocol, while the
 // lint verb itself succeeds and itemizes the findings. Runs once.
 bool check_lint(std::uint64_t trial_seed) {
+  const std::uint64_t enumerated = graph::enumerated_cycles();
   constexpr const char* kDeadlocked =
       "core A\ncore B\nchannel A -> B q=0\nchannel B -> A q=0\n";
   const Result<Instance> instance = parse_netlist(kDeadlocked, "deadlocked");
@@ -613,6 +622,7 @@ bool check_lint(std::uint64_t trial_seed) {
   const util::Json* errors = payload.value.find("errors");
   CHECK_OR_FAIL(errors != nullptr && errors->as_int() == 3,
                 "lint: payload itemizes the three error findings");
+  CHECK_OR_FAIL(graph::enumerated_cycles() == enumerated, "lint: no cycle enumerated");
   return true;
 }
 
@@ -764,6 +774,7 @@ bool check_cluster(std::uint64_t trial_seed) {
 // (model-addressed) requests over both the NDJSON and binary transports, and
 // the certificate embedded in every served payload re-verifies locally.
 bool check_certificates(std::uint64_t trial_seed) {
+  const std::uint64_t enumerated = graph::enumerated_cycles();
   util::Rng rng(trial_seed);
   std::vector<Instance> instances;
   std::vector<std::string> texts;
@@ -872,6 +883,7 @@ bool check_certificates(std::uint64_t trial_seed) {
     session.close();
   }
   server.stop();
+  CHECK_OR_FAIL(graph::enumerated_cycles() == enumerated, "cert: no cycle enumerated");
   return true;
 }
 
