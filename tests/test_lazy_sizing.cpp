@@ -1,14 +1,16 @@
 // Lazy constraint generation (core/lazy_sizing.hpp): equivalence with the
 // full enumerate-everything pipeline on the checked-in corpus, the COFDM SoC,
-// the paper examples and 50 generated systems, convergence of certified
-// 3*10^4-core sizings, sizings whose exact budget cuts rounds off (still on
-// target, never enumerating), plus the warm-start contract of the
-// mg::Workspace Howard kernel that backs the separation oracle.
+// the paper examples and 150 generated systems, each also sized under a
+// one-unit exact budget (still on target, never enumerating), convergence of
+// certified 3*10^4-core sizings, larger sizings whose budget cuts rounds
+// off, plus the warm-start contract of the mg::Workspace Howard kernel that
+// backs the separation oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/certify.hpp"
@@ -43,27 +45,57 @@ std::int64_t total_queue_capacity(const lis::LisGraph& lis) {
   return total;
 }
 
-/// The acceptance bar: lazy and full sizing agree on the achieved MST and on
-/// the total queue capacity of the sized netlist. When both exact solves
-/// prove, the optimal extra-token totals must match exactly (at convergence
-/// the lazy covering instance contains every binding constraint).
-void expect_lazy_matches_full(const lis::LisGraph& lis) {
+/// The certified sizing of `r` passes the independent checker.
+void expect_certificate_verifies(const lis::LisGraph& lis, const QsReport& r) {
+  const verify::Certificate cert = certify_sizing(lis, r);
+  EXPECT_EQ(cert.total, r.exact->total_extra_tokens);
+  const verify::CheckResult checked = verify::check(lis, cert);
+  EXPECT_TRUE(checked.ok) << checked.detail;
+}
+
+/// The acceptance bar: lazy and full sizing to `target` (0: θ(G)) agree on
+/// the achieved MST and on the total queue capacity of the sized netlist.
+/// When both exact solves prove, the optimal extra-token totals must match
+/// exactly (at convergence the lazy covering instance contains every binding
+/// constraint).
+///
+/// The lazy sizing is also run under a one-unit exact budget, which cuts off
+/// every round the reductions leave work for. A cut round keeps its
+/// heuristic cover, so that sizing still reaches the target, enumerates no
+/// cycle and certifies, and it is the optimum when its last round proves.
+/// Returns whether that round proved.
+bool expect_lazy_matches_full(const lis::LisGraph& lis, const Rational& target = Rational(0)) {
   QsOptions lazy_options;
   lazy_options.method = QsMethod::kLazy;
-  QsOptions full_options;
+  lazy_options.build.target_mst = target;
+  QsOptions full_options = lazy_options;
   full_options.method = QsMethod::kBoth;
 
+  const std::uint64_t enumerated = graph::enumerated_cycles();
   const QsReport lazy = size_queues(lis, lazy_options);
+  lazy_options.exact.max_nodes = 1;
+  const QsReport cut = size_queues(lis, lazy_options);
+  EXPECT_EQ(graph::enumerated_cycles(), enumerated);
   const QsReport full = size_queues(lis, full_options);
 
-  ASSERT_TRUE(lazy.lazy.has_value());
-  ASSERT_TRUE(lazy.exact.has_value());
-  ASSERT_TRUE(full.exact.has_value());
+  EXPECT_TRUE(lazy.lazy.has_value());
+  if (!lazy.exact || !cut.exact || !full.exact) {
+    ADD_FAILURE() << "a sizing has no exact outcome";
+    return true;
+  }
   EXPECT_EQ(lazy.achieved_mst, full.achieved_mst);
   if (lazy.exact->finished && full.exact->finished) {
     EXPECT_EQ(lazy.exact->total_extra_tokens, full.exact->total_extra_tokens);
     EXPECT_EQ(total_queue_capacity(lazy.sized), total_queue_capacity(full.sized));
   }
+
+  EXPECT_GE(cut.achieved_mst, cut.problem.theta_target);
+  EXPECT_GE(cut.exact->total_extra_tokens, lazy.exact->total_extra_tokens);
+  if (cut.exact->finished) {
+    EXPECT_EQ(cut.exact->total_extra_tokens, lazy.exact->total_extra_tokens);
+  }
+  if (cut.problem.has_degradation()) expect_certificate_verifies(lis, cut);
+  return cut.exact->finished;
 }
 
 TEST(LazySizing, MatchesFullOnPaperExamples) {
@@ -89,28 +121,84 @@ TEST(LazySizing, MatchesFullOnEveryCorpusNetlist) {
   EXPECT_EQ(count, 20u);
 }
 
-/// 10 seeds x 5 trials = 50 generated systems.
-class LazyEquivalenceOnGenerated : public ::testing::TestWithParam<std::uint64_t> {};
+/// A generated system of the sweep and the MST to size it to (0: θ(G)).
+struct SweepSystem {
+  lis::LisGraph lis;
+  Rational target;
+};
 
-TEST_P(LazyEquivalenceOnGenerated, MatchesFullPipeline) {
-  util::Rng rng(GetParam());
-  for (int trial = 0; trial < 5; ++trial) {
-    SCOPED_TRACE(trial);
-    gen::GeneratorParams params;
-    params.vertices = rng.uniform_int(8, 20);
-    params.sccs = rng.uniform_int(1, 4);
-    params.min_cycles = rng.uniform_int(1, 3);
-    params.relay_stations = rng.uniform_int(1, 5);
-    params.reconvergent = true;
-    // kScc needs an inter-SCC channel to put relay stations on.
-    params.policy =
-        trial % 2 == 0 && params.sccs > 1 ? gen::RsPolicy::kScc : gen::RsPolicy::kAny;
-    expect_lazy_matches_full(gen::generate(params, rng));
-  }
+/// 8-20 cores in 1-4 SCCs, relay stations on any channel or, on even trials
+/// with several SCCs, on inter-SCC channels only.
+SweepSystem small_system(util::Rng& rng, int trial) {
+  gen::GeneratorParams params;
+  params.vertices = rng.uniform_int(8, 20);
+  params.sccs = rng.uniform_int(1, 4);
+  params.min_cycles = rng.uniform_int(1, 3);
+  params.relay_stations = rng.uniform_int(1, 5);
+  params.reconvergent = true;
+  // kScc needs an inter-SCC channel to put relay stations on.
+  params.policy = trial % 2 == 0 && params.sccs > 1 ? gen::RsPolicy::kScc : gen::RsPolicy::kAny;
+  return {gen::generate(params, rng), Rational(0)};
 }
 
+/// 800-1,200 cores in SCCs of about 50 with 16 chords each, large enough
+/// for a one-unit budget to cut rounds off. Every fourth has pipelined
+/// cores; every fifth a target between θ(d[G]) and θ(G).
+SweepSystem thousand_core_system(util::Rng& rng, int trial) {
+  gen::GeneratorParams params;
+  params.vertices = rng.uniform_int(800, 1'200);
+  params.sccs = params.vertices / 50;
+  params.min_cycles = 16;
+  params.relay_stations = params.vertices / 20;
+  SweepSystem system{gen::generate(params, rng), Rational(0)};
+  if (trial % 4 == 1) {
+    for (lis::CoreId v = 0; v < static_cast<lis::CoreId>(system.lis.num_cores()); ++v) {
+      if (rng.flip(0.2)) system.lis.set_core_latency(v, rng.uniform_int(2, 3));
+    }
+  }
+  if (trial % 5 == 0) {
+    system.target =
+        (lis::ideal_mst(system.lis) + lis::practical_mst(system.lis)) * Rational(1, 2);
+  }
+  return system;
+}
+
+/// A family of sweep systems: how to draw one, how many each seed draws,
+/// and how many of those at least end unproven under the one-unit budget
+/// (so that the family exercises the budget cut).
+struct SweepFamily {
+  SweepSystem (*draw)(util::Rng& rng, int trial);
+  int systems;
+  int unproven;
+};
+
+constexpr SweepFamily kSmallSystems{small_system, 5, 0};
+constexpr SweepFamily kThousandCoreSystems{thousand_core_system, 100, 3};  // 9 end unproven
+
+class LazyEquivalenceOnGenerated
+    : public ::testing::TestWithParam<std::tuple<const SweepFamily*, std::uint64_t>> {};
+
+TEST_P(LazyEquivalenceOnGenerated, MatchesFullPipeline) {
+  const auto [family, seed] = GetParam();
+  util::Rng rng(seed);
+  int unproven = 0;
+  for (int trial = 0; trial < family->systems; ++trial) {
+    SCOPED_TRACE(trial);
+    const SweepSystem system = family->draw(rng, trial);
+    if (!expect_lazy_matches_full(system.lis, system.target)) ++unproven;
+  }
+  EXPECT_GE(unproven, family->unproven);
+}
+
+// 10 seeds x 5 small systems.
 INSTANTIATE_TEST_SUITE_P(Seeds, LazyEquivalenceOnGenerated,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+                         ::testing::Combine(::testing::Values(&kSmallSystems),
+                                            ::testing::Range<std::uint64_t>(1, 11)));
+// 100 systems of about 1,000 cores: the affordable slice of the budget-cut
+// differential sweep (EXPERIMENTS.md).
+INSTANTIATE_TEST_SUITE_P(ThousandCores, LazyEquivalenceOnGenerated,
+                         ::testing::Combine(::testing::Values(&kThousandCoreSystems),
+                                            ::testing::Values(2026)));
 
 TEST(LazySizing, ReportsIterationAndConstraintCounts) {
   QsOptions options;
@@ -188,14 +276,6 @@ std::vector<bool> cut_rounds(const TdInstance& td, const QsOptions& options) {
   return cut;
 }
 
-/// The certified sizing of `r` passes the independent checker.
-void expect_certificate_verifies(const lis::LisGraph& lis, const QsReport& r) {
-  const verify::Certificate cert = certify_sizing(lis, r);
-  EXPECT_EQ(cert.total, r.exact->total_extra_tokens);
-  const verify::CheckResult checked = verify::check(lis, cert);
-  EXPECT_TRUE(checked.ok) << checked.detail;
-}
-
 class LazySizingAtScale : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LazySizingAtScale, CertifiedSizingConverges) {
@@ -204,12 +284,14 @@ TEST_P(LazySizingAtScale, CertifiedSizingConverges) {
   QsOptions options;
   options.method = QsMethod::kLazy;
   // A budget that every round's sub-solve proves within, so the test fails
-  // fast instead of stalling.
+  // fast instead of stalling; a round it cuts off fails the test.
   options.exact.max_nodes = 10'000;
   const QsReport r = size_queues(lis, options);
   ASSERT_TRUE(r.lazy.has_value());
   ASSERT_TRUE(r.exact.has_value());
   EXPECT_TRUE(r.exact->finished);
+  const std::vector<bool> cut = cut_rounds(r.problem.td, options);
+  EXPECT_EQ(std::count(cut.begin(), cut.end(), true), 0);
   EXPECT_GT(r.lazy->iterations, 1);
   // Some rounds keep cycles after the reductions, so the LP search runs.
   EXPECT_GT(r.exact->nodes_explored, 0);
@@ -281,54 +363,9 @@ TEST(LazySizing, ProvenLastRoundMakesACutSolveOptimal) {
   EXPECT_EQ(r.exact->total_extra_tokens, 141);
   EXPECT_EQ(r.achieved_mst, Rational(1));
   const std::vector<bool> cut = cut_rounds(r.problem.td, options);
-  EXPECT_NE(std::find(cut.begin(), cut.end(), true), cut.end());
+  EXPECT_GT(std::count(cut.begin(), cut.end(), true), 0);
   EXPECT_FALSE(cut.back());
   expect_certificate_verifies(lis, r);
-}
-
-TEST(LazySizing, BudgetCutSweepStaysOnTarget) {
-  // A slice of a differential sweep: 100 generated systems of about 1,000
-  // cores in 20 SCCs under a one-unit budget, which cuts off every round
-  // the reductions leave work for. A quarter have pipelined cores, a fifth
-  // a target between θ(d[G]) and θ(G). Every sizing reaches its target,
-  // certifies and enumerates nothing; a proven one is the optimum.
-  util::Rng seeder(2026);
-  int unproven = 0;
-  const std::uint64_t enumerated = graph::enumerated_cycles();
-  for (int i = 0; i < 100; ++i) {
-    SCOPED_TRACE(i);
-    util::Rng rng(seeder.fork_seed());
-    gen::GeneratorParams params;
-    params.vertices = rng.uniform_int(800, 1200);
-    params.sccs = params.vertices / 50;
-    params.min_cycles = 16;
-    params.relay_stations = params.vertices / 20;
-    lis::LisGraph lis = gen::generate(params, rng);
-    if (i % 4 == 1) {
-      for (lis::CoreId v = 0; v < static_cast<lis::CoreId>(lis.num_cores()); ++v) {
-        if (rng.flip(0.2)) lis.set_core_latency(v, rng.uniform_int(2, 3));
-      }
-    }
-    QsOptions options;
-    options.method = QsMethod::kLazy;
-    if (i % 5 == 0) {
-      options.build.target_mst = (lis::ideal_mst(lis) + lis::practical_mst(lis)) * Rational(1, 2);
-    }
-    const QsReport optimum = size_queues(lis, options);
-    options.exact.max_nodes = 1;
-    const QsReport r = size_queues(lis, options);
-    ASSERT_TRUE(r.exact.has_value() && optimum.exact.has_value());
-    EXPECT_GE(r.achieved_mst, r.problem.theta_target);
-    EXPECT_GE(r.exact->total_extra_tokens, optimum.exact->total_extra_tokens);
-    if (r.exact->finished) {
-      EXPECT_EQ(r.exact->total_extra_tokens, optimum.exact->total_extra_tokens);
-    } else {
-      ++unproven;
-    }
-    if (r.problem.has_degradation()) expect_certificate_verifies(lis, r);
-  }
-  EXPECT_EQ(graph::enumerated_cycles(), enumerated);
-  EXPECT_GE(unproven, 3);  // 6 of the 100
 }
 
 TEST(LazySizing, ExternalWorkspaceIsReusedAcrossCalls) {
