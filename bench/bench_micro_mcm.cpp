@@ -1,5 +1,6 @@
-// Micro-benchmarks: minimum-cycle-mean algorithms (Karp vs Howard) and the
-// MST pipeline on generated doubled graphs of growing size.
+// Micro-benchmarks: Howard's minimum cycle mean (cold, and cold vs warm
+// re-solves after marking changes) and the MST pipeline on generated doubled
+// graphs of growing size.
 #include <benchmark/benchmark.h>
 
 #include "gen/generator.hpp"
@@ -22,15 +23,6 @@ lis::Expansion doubled_system(int vertices, int sccs) {
   params.policy = gen::RsPolicy::kScc;
   return lis::expand_doubled(gen::generate(params, rng));
 }
-
-void BM_KarpMcm(benchmark::State& state) {
-  const lis::Expansion ex = doubled_system(static_cast<int>(state.range(0)), 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mg::min_cycle_mean_karp(ex.graph));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_KarpMcm)->Arg(25)->Arg(50)->Arg(100)->Arg(200)->Complexity();
 
 void BM_HowardMcm(benchmark::State& state) {
   const lis::Expansion ex = doubled_system(static_cast<int>(state.range(0)), 5);

@@ -110,6 +110,9 @@ QsReport size_queues_on_problem(const lis::LisGraph& lis, const QsProblem& probl
              "size_queues: inconsistent solution total");
 
   report.sized = apply_solution(lis, report.problem, best->weights);
+  // An optimum over a truncated enumeration covers only the cycles found:
+  // it is applied as it is, but not reported proven.
+  if (report.exact && report.problem.truncated) report.exact->finished = false;
   if (options.verify) {
     report.achieved_mst = lis::practical_mst(report.sized);
   }

@@ -13,9 +13,7 @@ namespace lid::engine {
 Result<Analysis> analyze_cached(AnalysisCache& cache, const Instance& instance,
                                 const AnalyzeOptions& options) {
   if (!instance.valid()) return detail::invalid_handle("analyze");
-  if (options.preflight) {
-    if (auto rejected = detail::lint_preflight("analyze", instance.graph())) return *rejected;
-  }
+  if (auto rejected = detail::lint_preflight("analyze", instance.graph())) return *rejected;
   return detail::guarded<Analysis>(ErrorCode::kInvalidArgument, [&] {
     const core::DegradationReport report = cache.degradation();
     std::optional<core::RateSafetyReport> rates;
@@ -33,9 +31,7 @@ Result<Analysis> analyze_cached(AnalysisCache& cache, const Instance& instance,
 Result<Sizing> size_queues_cached(AnalysisCache& cache, const Instance& instance,
                                   const SizeQueuesOptions& options) {
   if (!instance.valid()) return detail::invalid_handle("size_queues");
-  if (options.preflight) {
-    if (auto rejected = detail::lint_preflight("size_queues", instance.graph())) return *rejected;
-  }
+  if (auto rejected = detail::lint_preflight("size_queues", instance.graph())) return *rejected;
   return detail::guarded<Sizing>(ErrorCode::kInvalidArgument, [&]() -> Result<Sizing> {
     const lis::LisGraph& lis = instance.graph();
     const core::QsOptions qs = detail::qs_options_from(options);

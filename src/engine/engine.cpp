@@ -84,13 +84,14 @@ void analyze_one(const EngineOptions& options, const Instance& instance, Instanc
   out.channels = instance.num_channels();
   out.relay_stations = instance.total_relay_stations();
 
-  if (options.preflight) {
-    const linter::Report lint = linter::run_error_checks(instance.graph());
-    if (lint.has_errors()) {
-      out.error = "lint: " + lint.error_summary();
-      metrics.count("lint_rejected");
-      return;
-    }
+  // The error-tier lint checks reject broken instances (deadlocked, empty,
+  // q = 0) with the diagnostic summary before any analysis trips an
+  // invariant mid-solve.
+  const linter::Report lint = linter::run_error_checks(instance.graph());
+  if (lint.has_errors()) {
+    out.error = "lint: " + lint.error_summary();
+    metrics.count("lint_rejected");
+    return;
   }
 
   AnalysisCache cache(instance.graph(), &metrics);
@@ -122,18 +123,18 @@ void analyze_one(const EngineOptions& options, const Instance& instance, Instanc
         }
         case AnalysisKind::kRateSafety: {
           const Metrics::ScopedStage timer(metrics, "rate_safety");
-          out.rate_hazards = core::analyze_rate_safety(instance.graph()).hazards.size();
+          out.rate_hazards = cache.rate_safety().hazards.size();
           break;
         }
         case AnalysisKind::kDes: {
-          // Deterministic limit (fixed unit latencies, saturated sources):
-          // the throughput is exact once a recurrence is found, so this
-          // doubles as a cheap cross-check of mst-practical. Occupancy
-          // tracing is off — the batch report carries no histograms.
+          // Deterministic limit (fixed unit latencies, saturated sources,
+          // so no draw from the seed): the throughput is exact once a
+          // recurrence is found, so this doubles as a cheap cross-check of
+          // mst-practical. Occupancy tracing is off — the batch report
+          // carries no histograms.
           const Metrics::ScopedStage timer(metrics, "des");
           des::SimOptions sim;
           sim.horizon = options.des_horizon;
-          sim.seed = options.des_seed;
           sim.trace_occupancy = false;
           const des::SimReport report = des::simulate(instance.graph(), sim);
           out.des_throughput = report.throughput;

@@ -66,14 +66,6 @@ struct EngineOptions {
   /// Cycle horizon for kDes (the run usually exits earlier via recurrence
   /// detection; the horizon bounds pathological transients).
   std::int64_t des_horizon = 30'000;
-  /// RNG seed for kDes. The engine's DES stage runs the deterministic limit
-  /// (fixed unit latencies, saturated sources), so the seed only matters for
-  /// reproducing reports, not results.
-  std::uint64_t des_seed = 1;
-  /// Run the error-tier lint checks before any analysis and reject broken
-  /// instances (deadlocked, empty, q = 0) with the diagnostic summary in
-  /// InstanceResult::error instead of tripping an invariant mid-solve.
-  bool preflight = true;
 };
 
 /// Everything the engine learned about one instance. Fields are present only

@@ -90,9 +90,12 @@ core::QsOptions qs_options_from(const SizeQueuesOptions& options) {
 Result<Sizing> sizing_from_report(const lis::LisGraph& lis, const core::QsReport& report,
                                   const Instance& original, const SizeQueuesOptions& options) {
   if (report.problem.cancelled) {
-    // A partial enumeration depends on wall-clock timing; serving weights
-    // derived from it would break response determinism, so fail instead.
-    return Error{ErrorCode::kTimeout, "size_queues: cancelled during cycle enumeration"};
+    // A partial enumeration or a partial run of lazy rounds depends on
+    // wall-clock timing; serving weights derived from it would break
+    // response determinism, so fail instead.
+    return Error{ErrorCode::kTimeout, report.lazy
+                                          ? "size_queues: cancelled during lazy sizing rounds"
+                                          : "size_queues: cancelled during cycle enumeration"};
   }
 
   Sizing sizing;
@@ -286,9 +289,7 @@ Result<Analysis> analyze(const Instance& instance, const AnalyzeOptions& options
     mg::McmEvidence practical;
     {
       const lis::Expansion doubled = lis::expand_doubled(lis);
-      if (options.preflight) {
-        if (auto rejected = detail::lint_preflight("analyze", lis, doubled)) return *rejected;
-      }
+      if (auto rejected = detail::lint_preflight("analyze", lis, doubled)) return *rejected;
       practical = mg::mcm_evidence(doubled.graph);
       report = core::explain_practical(lis, doubled, practical.critical);
     }
@@ -323,8 +324,8 @@ Result<Sizing> size_queues(const Instance& instance, const SizeQueuesOptions& op
     const lis::LisGraph& lis = instance.graph();
     // The pre-flight's d[G] also gives θ(d[G]), as in analyze; it is
     // dropped before the sizer builds its own graphs.
-    std::optional<util::Rational> theta_practical;
-    if (options.preflight) {
+    util::Rational theta_practical;
+    {
       const lis::Expansion doubled = lis::expand_doubled(lis);
       if (auto rejected = detail::lint_preflight("size_queues", lis, doubled)) return *rejected;
       theta_practical = mg::mst(doubled.graph);
@@ -357,11 +358,7 @@ Result<verify::CheckResult> verify_certificate(const Instance& instance, const s
 
 Result<DesReport> simulate_des(const Instance& instance, const DesOptions& options) {
   if (!instance.valid()) return invalid_handle("simulate_des");
-  if (options.preflight) {
-    if (auto rejected = detail::lint_preflight("simulate_des", instance.graph())) {
-      return *rejected;
-    }
-  }
+  if (auto rejected = detail::lint_preflight("simulate_des", instance.graph())) return *rejected;
   return guarded<DesReport>(ErrorCode::kInvalidArgument, [&]() -> Result<DesReport> {
     const lis::LisGraph& lis = instance.graph();
     des::SimOptions sim;

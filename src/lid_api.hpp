@@ -189,10 +189,6 @@ struct AnalyzeOptions {
   bool critical_cycle = true;
   /// Also run the Sec. III-C rate-safety analysis.
   bool rate_safety = true;
-  /// Run the error-tier lint checks first and fail with ErrorCode::kLint
-  /// (carrying the diagnostic summary) instead of tripping an internal
-  /// invariant mid-solve on a broken model (deadlocked, empty, q = 0).
-  bool preflight = true;
   /// Attach an independently checkable certificate for the reported thetas
   /// (verify::Certificate; see docs/certificates.md), built from the evidence
   /// passes the thetas come from, so it costs no extra solve; off by default.
@@ -218,6 +214,10 @@ struct Analysis {
   std::optional<verify::Certificate> certificate;
 };
 
+/// Runs the error-tier lint checks first, as size_queues and simulate_des
+/// do, and fails with ErrorCode::kLint (carrying the diagnostic summary)
+/// instead of tripping an internal invariant mid-solve on a broken model
+/// (deadlocked, empty, q = 0).
 Result<Analysis> analyze(const Instance& instance, const AnalyzeOptions& options = {});
 
 // ---------------------------------------------------------------------------
@@ -273,8 +273,6 @@ struct SizeQueuesOptions {
   /// result carries the heuristic weights with exact_proved == false and
   /// exact_cancelled == true. The default token never cancels.
   util::CancelToken cancel;
-  /// Run the error-tier lint checks first; see AnalyzeOptions::preflight.
-  bool preflight = true;
   /// Attach an independently checkable certificate for the sizing: the ideal
   /// ceiling, the applied weights, a post-sizing optimality witness, and —
   /// when the lazy solver converged without the SCC collapse — its
@@ -316,6 +314,7 @@ struct Sizing {
   std::optional<verify::Certificate> certificate;
 };
 
+/// Runs the lint pre-flight first (see analyze).
 Result<Sizing> size_queues(const Instance& instance, const SizeQueuesOptions& options = {});
 
 // ---------------------------------------------------------------------------
@@ -358,8 +357,6 @@ struct DesOptions {
   /// Cooperative cancellation, polled once per event batch. A cancelled run
   /// fails with ErrorCode::kTimeout (partial statistics are never served).
   util::CancelToken cancel;
-  /// Run the error-tier lint checks first; see AnalyzeOptions::preflight.
-  bool preflight = true;
 };
 
 /// The DES report: exact throughput, stall counters, per-channel occupancy
@@ -369,7 +366,8 @@ using DesReport = des::SimReport;
 /// Simulates the doubled marked graph d[G] of the instance as a
 /// discrete-event system with stochastic channel latencies and open-system
 /// arrivals. In the deterministic limit (fixed unit latencies, saturated
-/// sources) the reported throughput equals min(1, θ(d[G])) exactly.
+/// sources) the reported throughput equals min(1, θ(d[G])) exactly. Runs
+/// the lint pre-flight first (see analyze).
 Result<DesReport> simulate_des(const Instance& instance, const DesOptions& options = {});
 
 // ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ namespace {
 
 using util::Rational;
 
-constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
-
 /// Bellman-Ford from a virtual source joined to every node at cost 0, over
 /// the integer reduced costs q*w(e) - p, for at most `passes` passes into
 /// `dist`. True once a pass relaxes nothing (the distances have settled).
@@ -96,6 +94,41 @@ bool mean_less(std::int64_t a, std::int64_t b, std::int64_t c, std::int64_t d) {
   return static_cast<__int128>(a) * d < static_cast<__int128>(c) * b;
 }
 
+/// Exact minimum cycle mean in O(n + E) memory by bisection with integer
+/// negative-cycle tests and a Stern-Brocot recovery.
+Rational parametric(const SccView& view) {
+  std::int64_t wmax = 0;
+  for (const std::int64_t w : view.weight) wmax = std::max(wmax, w);
+  // Bracket invariant: no cycle mean < lo, some cycle mean < hi, with
+  // lo = num_lo / 2^k and hi = num_hi / 2^k. Token weights are nonnegative,
+  // so 0 is a valid lower bound; wmax + 1 exceeds every cycle mean. Time is
+  // O(V*E*log(n*W)), memory O(V): it runs only when policy iteration does
+  // not settle.
+  __int128 num_lo = 0;
+  __int128 num_hi = wmax + 1;
+  std::int64_t q = 1;  // common denominator 2^k
+  const __int128 n2 = static_cast<__int128>(view.n) * view.n;
+  std::vector<__int128> dist;
+  while ((num_hi - num_lo) * n2 >= q) {
+    const __int128 mid = num_lo + num_hi;  // over denominator 2^(k+1)
+    LID_ASSERT(q <= std::numeric_limits<std::int64_t>::max() / 2,
+               "parametric: bisection denominator exceeds int64");
+    q *= 2;
+    // Some cycle has mean below mid/q exactly when a negative reduced-cost
+    // cycle keeps the distances from settling within n + 1 passes.
+    if (!reduced_cost_distances(view, mid, q, view.n + 1, dist)) {
+      num_hi = mid;
+      num_lo *= 2;
+    } else {
+      num_lo = mid;
+      num_hi *= 2;
+    }
+  }
+  const Rational mu = simplest_between(num_lo, q, num_hi, q);
+  LID_ASSERT(mu.den() <= view.n, "parametric: recovered mean has an impossible denominator");
+  return mu;
+}
+
 }  // namespace
 
 std::vector<int> local_ids(const graph::SccPartition& part) {
@@ -154,89 +187,8 @@ bool HowardScratch::lambda_is(int v, const Rational& mean) const {
   return mean_num[c] == mean.num() && mean_den[c] == mean.den();
 }
 
-Rational karp(const SccView& view) {
-  const int n = view.n;
-  LID_ASSERT(n >= 1, "karp: empty SCC");
-  // d[k*n + v] = min weight of a walk with exactly k edges from node 0 to v.
-  const auto ns = static_cast<std::size_t>(n);
-  std::vector<std::int64_t> d((ns + 1) * ns, kInf);
-  const auto at = [&](int k, int v) -> std::int64_t& {
-    return d[static_cast<std::size_t>(k) * ns + static_cast<std::size_t>(v)];
-  };
-  at(0, 0) = 0;
-  for (int k = 1; k <= n; ++k) {
-    for (int u = 0; u < n; ++u) {
-      const std::int64_t base = at(k - 1, u);
-      if (base == kInf) continue;
-      for (int e = view.offset[static_cast<std::size_t>(u)];
-           e < view.offset[static_cast<std::size_t>(u) + 1]; ++e) {
-        std::int64_t& cell = at(k, view.dst[static_cast<std::size_t>(e)]);
-        cell = std::min(cell, base + view.weight[static_cast<std::size_t>(e)]);
-      }
-    }
-  }
-
-  bool found = false;
-  Rational best;
-  for (int v = 0; v < n; ++v) {
-    const std::int64_t dn = at(n, v);
-    if (dn == kInf) continue;
-    bool have_term = false;
-    Rational worst;
-    for (int k = 0; k < n; ++k) {
-      const std::int64_t dk = at(k, v);
-      if (dk == kInf) continue;
-      const Rational term(dn - dk, n - k);
-      if (!have_term || term > worst) {
-        worst = term;
-        have_term = true;
-      }
-    }
-    LID_ASSERT(have_term, "karp: no finite prefix for a reachable node");
-    if (!found || worst < best) {
-      best = worst;
-      found = true;
-    }
-  }
-  LID_ASSERT(found, "karp: strongly connected component without a cycle");
-  return best;
-}
-
-Rational parametric(const SccView& view) {
-  std::int64_t wmax = 0;
-  for (const std::int64_t w : view.weight) wmax = std::max(wmax, w);
-  // Bracket invariant: no cycle mean < lo, some cycle mean < hi, with
-  // lo = num_lo / 2^k and hi = num_hi / 2^k. Token weights are nonnegative,
-  // so 0 is a valid lower bound; wmax + 1 exceeds every cycle mean. Time is
-  // O(V*E*log(n*W)) — acceptable only on the policy-iteration paranoia
-  // path, where Karp's O(V^2) table would not fit in memory.
-  __int128 num_lo = 0;
-  __int128 num_hi = wmax + 1;
-  std::int64_t q = 1;  // common denominator 2^k
-  const __int128 n2 = static_cast<__int128>(view.n) * view.n;
-  std::vector<__int128> dist;
-  while ((num_hi - num_lo) * n2 >= q) {
-    const __int128 mid = num_lo + num_hi;  // over denominator 2^(k+1)
-    LID_ASSERT(q <= std::numeric_limits<std::int64_t>::max() / 2,
-               "parametric: bisection denominator exceeds int64");
-    q *= 2;
-    // Some cycle has mean below mid/q exactly when a negative reduced-cost
-    // cycle keeps the distances from settling within n + 1 passes.
-    if (!reduced_cost_distances(view, mid, q, view.n + 1, dist)) {
-      num_hi = mid;
-      num_lo *= 2;
-    } else {
-      num_lo = mid;
-      num_hi *= 2;
-    }
-  }
-  const Rational mu = simplest_between(num_lo, q, num_hi, q);
-  LID_ASSERT(mu.den() <= view.n, "parametric: recovered mean has an impossible denominator");
-  return mu;
-}
-
 Rational exact_fallback_cycle(const SccView& view, std::vector<PlaceId>& cycle_out) {
-  const Rational mu = view.n <= kKarpTableMaxNodes ? karp(view) : parametric(view);
+  const Rational mu = parametric(view);
   const std::int64_t p = mu.num();
   const std::int64_t q = mu.den();
   std::vector<__int128> dist;
@@ -820,18 +772,6 @@ McmEvidence mcm_evidence(const MarkedGraph& g) {
 
 Rational mst(const McmEvidence& evidence) { return mst_of(evidence.critical); }
 
-std::optional<Rational> min_cycle_mean_karp(const MarkedGraph& g) {
-  std::optional<Rational> best;
-  const graph::SccPartition part = graph::scc(g.structure());
-  const std::vector<int> local_of = kernel::local_ids(part);
-  for (int c = 0; c < part.count; ++c) {
-    if (!part.is_cyclic(c, g.structure())) continue;
-    const Rational mean = kernel::karp(kernel::make_view(g, part, local_of, c));
-    if (!best || mean < *best) best = mean;
-  }
-  return best;
-}
-
 std::optional<MeanCycle> min_cycle_mean_howard(const MarkedGraph& g) {
   // One-shot path: a throwaway workspace still pools scratch + the cycle
   // buffer across the graph's SCCs instead of reallocating per component.
@@ -841,12 +781,6 @@ std::optional<MeanCycle> min_cycle_mean_howard(const MarkedGraph& g) {
   return out;
 }
 
-Rational mst(const MarkedGraph& g) {
-  // Howard, not Karp: Karp's per-SCC walk table is O(V^2) memory, which is
-  // prohibitive on the single giant SCC every doubled graph d[G] collapses
-  // into (the backward places make d[G] symmetric). Karp stays available via
-  // min_cycle_mean_karp as an independent small-instance cross-check.
-  return mst_of(min_cycle_mean_howard(g));
-}
+Rational mst(const MarkedGraph& g) { return mst_of(min_cycle_mean_howard(g)); }
 
 }  // namespace lid::mg

@@ -10,9 +10,10 @@
 // Since every cycle lives inside one SCC, the general case reduces to
 // min(1, minimum cycle mean over the whole graph).
 //
-// Two independent algorithms are provided: Karp's dynamic program (the
-// correctness reference, O(V·E)) and Howard's policy iteration (usually much
-// faster, also yields a critical cycle). Both use exact rational arithmetic.
+// Every entry point runs Howard's policy iteration, which also yields a
+// critical cycle, in exact integer and rational arithmetic. A component on
+// which policy iteration does not settle within its round cap is solved
+// exactly by a parametric search instead (mcm_kernel.hpp).
 #pragma once
 
 #include <cstdint>
@@ -84,12 +85,6 @@ struct WorkspaceStats {
   std::int64_t node_evaluations = 0;    ///< nodes whose value a round (re)computed
   std::int64_t node_examinations = 0;   ///< nodes the improvement phases examined
 };
-
-/// Minimum cycle mean via Karp's algorithm, or nullopt if `g` is acyclic.
-/// Independent correctness reference for cross-checks; its per-SCC walk
-/// table costs O(V^2) memory, so keep it to small instances — every
-/// production path (mst, analysis, certificates) runs Howard.
-std::optional<util::Rational> min_cycle_mean_karp(const MarkedGraph& g);
 
 /// Minimum cycle mean and one critical cycle via Howard's policy iteration,
 /// or nullopt if `g` is acyclic.

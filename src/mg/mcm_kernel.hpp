@@ -123,19 +123,8 @@ inline constexpr int kIncrementalMinNodes = 32;
 util::Rational howard(const SccView& view, std::vector<int>& policy, HowardScratch& sc,
                       WorkspaceStats& stats);
 
-/// Karp's minimum cycle mean (an O(n^2) walk table).
-util::Rational karp(const SccView& view);
-
-/// Exact minimum cycle mean in O(n + E) memory by bisection with integer
-/// negative-cycle tests and a Stern-Brocot recovery.
-util::Rational parametric(const SccView& view);
-
-/// Karp's table stays affordable up to this many nodes (~134 MB); larger
-/// components use the parametric search.
-inline constexpr int kKarpTableMaxNodes = 4096;
-
-/// The exact minimum mean μ (karp up to kKarpTableMaxNodes, parametric
-/// above) and a μ-mean cycle from the tight subgraph of Bellman-Ford
+/// The exact minimum mean μ (the parametric search, at every component
+/// size) and a μ-mean cycle from the tight subgraph of Bellman-Ford
 /// potentials, written into `cycle_out` (place ids).
 util::Rational exact_fallback_cycle(const SccView& view, std::vector<PlaceId>& cycle_out);
 

@@ -13,6 +13,7 @@
 
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
+#include "util/fnv.hpp"
 #include "util/json.hpp"
 
 namespace lid::serve {
@@ -54,14 +55,7 @@ std::string verb_of(const std::string& text) {
 
 }  // namespace
 
-std::uint64_t HashRing::hash(const std::string& key) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (const unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
+std::uint64_t HashRing::hash(const std::string& key) { return util::fnv1a64(key); }
 
 void HashRing::add(int worker) {
   if (!workers_.insert(worker).second) return;

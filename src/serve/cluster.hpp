@@ -96,8 +96,8 @@ class HashRing {
  public:
   explicit HashRing(int replicas = 64) : replicas_(replicas < 1 ? 1 : replicas) {}
 
-  /// FNV-1a 64 over `key` (the same family the model registry fingerprints
-  /// use, so routing is deterministic across processes and runs).
+  /// util::fnv1a64 over `key` (the hash behind the model fingerprints), so
+  /// routing is deterministic across processes and runs.
   static std::uint64_t hash(const std::string& key);
 
   void add(int worker);

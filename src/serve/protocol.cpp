@@ -350,7 +350,8 @@ Outcome do_analyze(ArgReader& reader, const ExecLimits& limits, const ExecContex
 
 /// The `size-queues` result payload: a pure function of the Sizing (no
 /// floats, no timings), shared by the normal and the degraded path so a
-/// degraded response is byte-identical to a direct heuristic execution.
+/// degraded response is byte-identical to a direct execution of its
+/// fallback.
 Outcome sizing_outcome(const Sizing& sizing) {
   const Result<std::string> sized_text = netlist_text(sizing.sized);
   if (!sized_text) return from_error(sized_text.error());
@@ -368,8 +369,8 @@ Outcome sizing_outcome(const Sizing& sizing) {
   w.key("achieved").value(sizing.achieved.to_string());
   w.key("cycles_enumerated").value(sizing.cycles_enumerated);
   w.key("truncated").value(sizing.truncated);
-  // Lazy-only keys, so heuristic/exact/both payloads (and the degraded
-  // fallback, which reruns as heuristic) stay byte-stable.
+  // Lazy-only keys, so heuristic/exact/both payloads (and an eager
+  // request's degraded fallback, which reruns as heuristic) stay byte-stable.
   if (sizing.solver_lazy) {
     w.key("lazy_iterations").value(sizing.lazy_iterations);
     w.key("cycles_generated").value(sizing.cycles_generated);
@@ -435,7 +436,7 @@ Outcome do_size_queues(ArgReader& reader, const ExecLimits& limits, const ExecCo
   // TD-instance reductions, on by default. Off is the ablation mode; it also
   // makes small node budgets observable (reduced instances usually prove at
   // zero search nodes). The degrade fallback inherits the flag, so degraded
-  // payloads stay byte-identical to a direct heuristic request.
+  // payloads stay byte-identical to a direct request of the fallback.
   options.simplify = reader.get_bool("simplify", true);
   options.certify = reader.get_bool("certify", false);
   if (reader.failed()) return arg_failure(reader);
@@ -445,6 +446,7 @@ Outcome do_size_queues(ArgReader& reader, const ExecLimits& limits, const ExecCo
 
   return memoized(model, context, request, [&]() -> Outcome {
     const bool wants_exact = options.solver != Solver::kHeuristic;
+    const bool lazy = options.solver == Solver::kLazy;
 
     // Registered models solve through the entry's pooled cache (we hold its
     // mutex via `memoized`); inline requests run the plain facade. Both
@@ -454,24 +456,32 @@ Outcome do_size_queues(ArgReader& reader, const ExecLimits& limits, const ExecCo
                  ? engine::size_queues_cached(*model.entry->cache, model.instance, opts)
                  : size_queues(model.instance, opts);
     };
-
-    // The degrade fallback: the same request with "solver":"heuristic" and no
-    // cancel token — its payload is byte-identical to direct heuristic
-    // execution by construction. Runtime stays bounded by the cycle cap.
-    const auto degrade = [&]() -> Outcome {
-      SizeQueuesOptions fallback = options;
-      fallback.solver = Solver::kHeuristic;
-      fallback.cancel = util::CancelToken();
-      const Result<Sizing> sizing = solve(fallback);
+    const auto tagged = [](const Result<Sizing>& sizing) -> Outcome {
       if (!sizing) return from_error(sizing.error());
       Outcome outcome = sizing_outcome(*sizing);
       outcome.degraded = outcome.ok;
       return outcome;
     };
 
+    // The degrade fallback: the same request with no cancel token, so its
+    // payload is byte-identical to a direct request. A lazy request re-runs
+    // lazy with a one-unit exact budget ("max_nodes":1): it still reaches
+    // its target and enumerates no cycle. An eager one re-runs as
+    // "solver":"heuristic", whose runtime the cycle cap bounds.
+    const auto degrade = [&]() -> Outcome {
+      SizeQueuesOptions fallback = options;
+      if (lazy) {
+        fallback.exact_max_nodes = 1;
+      } else {
+        fallback.solver = Solver::kHeuristic;
+      }
+      fallback.cancel = util::CancelToken();
+      return tagged(solve(fallback));
+    };
+
     if (context.deadline_expired || context.cancel.cancelled()) {
       // Deadline already gone before any solving started (queue wait ate it).
-      // Policy "degrade" still buys the heuristic answer; "error" requests
+      // Policy "degrade" still buys the fallback's answer; "error" requests
       // normally never reach here (the server answers them at dequeue).
       if (policy != OnDeadline::kDegrade) {
         return Outcome::failure(codes::kDeadlineExceeded,
@@ -487,14 +497,19 @@ Outcome do_size_queues(ArgReader& reader, const ExecLimits& limits, const ExecCo
     const Result<Sizing> sizing = solve(options);
     if (!sizing) {
       if (sizing.error().code == ErrorCode::kTimeout) {
-        // Cancelled during cycle enumeration. Even the heuristic needs the
-        // full enumeration, so degrading cannot beat this deadline either.
+        // A lazy sizing cancelled mid-rounds degrades like one that never
+        // started. An eager one was cancelled during cycle enumeration,
+        // which even the heuristic needs, so degrading cannot beat this
+        // deadline either.
+        if (lazy && policy == OnDeadline::kDegrade) return degrade();
         return Outcome::failure(codes::kDeadlineExceeded, sizing.error().message);
       }
       return from_error(sizing.error());
     }
     if (wants_exact && !sizing->exact_proved) {
-      if (policy == OnDeadline::kDegrade) return degrade();
+      // An unproven lazy answer already reaches its target: it keeps its
+      // payload.
+      if (policy == OnDeadline::kDegrade) return lazy ? tagged(sizing) : degrade();
       if (sizing->exact_cancelled) {
         return Outcome::failure(codes::kDeadlineExceeded,
                                 "deadline expired mid-exact-solve after " +

@@ -16,9 +16,10 @@
 // deadline expires mid-execution is cancelled cooperatively (the solvers
 // poll a CancelToken at iteration boundaries). `on_deadline` selects what a
 // deadline miss yields: "error" (the default) answers `deadline_exceeded`;
-// "degrade" trades quality for an answer — `size-queues` falls back to the
-// heuristic solver and tags the response `"degraded": true`, other verbs
-// simply run to completion.
+// "degrade" trades quality for an answer — an eager `size-queues` falls back
+// to the heuristic solver, a lazy one keeps an unproven answer or re-runs
+// with a one-unit exact budget, and the response is tagged
+// `"degraded": true`; other verbs simply run to completion.
 //
 // Responses:
 //
@@ -26,9 +27,10 @@
 //   {"id":"7","ok":false,"verb":"analyze","error":{"code":"overloaded","message":"..."}}
 //
 // A degraded response carries `"degraded":true` in the envelope (never in
-// `result`, which stays a pure function of the request — a degraded
+// `result`, which stays a pure function of the request — a degraded eager
 // `size-queues` payload is byte-identical to the same request executed with
-// `"solver":"heuristic"` directly).
+// `"solver":"heuristic"` directly, a degraded lazy one to the request itself
+// or to it with `"max_nodes":1`).
 //
 // `result` payloads are deliberately free of floating point and are produced
 // by the pure `execute()` below, so a response observed through the server
@@ -156,8 +158,9 @@ struct Outcome {
   std::string payload;        ///< compact JSON object ("{...}") when ok
   std::string error_code;     ///< codes::* when !ok
   std::string error_message;
-  /// True when the deadline-miss policy downgraded the answer (heuristic
-  /// instead of exact). Emitted in the response envelope, never the payload.
+  /// True when the deadline-miss policy downgraded the answer (a fallback
+  /// run or an unproven lazy answer instead of a proven one). Emitted in the
+  /// response envelope, never the payload.
   bool degraded = false;
   /// Lazy-solver counters from a `size-queues` execution (zero for every
   /// other verb/solver). The server folds them into its metrics so the

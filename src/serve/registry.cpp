@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/json.hpp"
+#include "verify/certificate.hpp"
 
 namespace lid::serve {
 namespace {
@@ -26,17 +27,7 @@ std::size_t memo_footprint(const std::string& key, const std::string& payload) {
 Registry::Registry(RegistryOptions options) : options_(options) {}
 
 std::string Registry::fingerprint(const std::string& canonical_text) {
-  // FNV-1a 64: tiny, dependency-free, and stable across platforms. This is a
-  // content address for cache lookup, not a security boundary.
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : canonical_text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  static const char* digits = "0123456789abcdef";
-  std::string out = "lis-";
-  for (int shift = 60; shift >= 0; shift -= 4) out.push_back(digits[(h >> shift) & 0xF]);
-  return out;
+  return verify::canonical_fingerprint(canonical_text);
 }
 
 Result<ModelInfo> Registry::register_model(const std::string& text) {

@@ -103,8 +103,9 @@ class Registry {
     std::atomic<std::int64_t> hits{0};
   };
 
-  /// The content address of `canonical_text` ("lis-" + 16 hex digits,
-  /// FNV-1a 64). Callers canonicalize first; register_model does both.
+  /// The content address of `canonical_text`: verify::canonical_fingerprint,
+  /// so it equals the fingerprint of the model's certificates. Callers
+  /// canonicalize first; register_model does both.
   static std::string fingerprint(const std::string& canonical_text);
 
   /// Parses and canonicalizes `text`, then registers (or re-finds) the

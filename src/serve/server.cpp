@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <ostream>
+#include <string>
 
+#include "graph/cycles.hpp"
 #include "serve/registry.hpp"
 #include "util/timer.hpp"
 
@@ -238,8 +241,12 @@ std::string Server::stats_json() const {
   w.key("pid").value(static_cast<std::int64_t>(::getpid()));
   w.key("start_unix_ms").value(start_unix_ms_);
   w.key("uptime_ms").value(static_cast<std::int64_t>(uptime_.elapsed_ms()));
+  // Beside the request counters: every cycle this process enumerated, 0
+  // unless an eager sizing ran.
+  std::map<std::string, std::int64_t> counters = metrics_.counters();
+  counters["cycles_enumerated"] = static_cast<std::int64_t>(graph::enumerated_cycles());
   w.key("counters").begin_object();
-  for (const auto& [name, value] : metrics_.counters()) w.key(name).value(value);
+  for (const auto& [name, value] : counters) w.key(name).value(value);
   w.end_object();
   w.key("stages").begin_object();
   for (const auto& [name, stats] : metrics_.stages()) {

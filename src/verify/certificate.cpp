@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "lis/netlist_io.hpp"
+#include "util/fnv.hpp"
 
 namespace lid::verify {
 namespace {
@@ -117,18 +118,15 @@ bool parse_witness(const Json* v, const char* what, McmWitness& out, ParseState&
 
 }  // namespace
 
-std::string fingerprint(const lis::LisGraph& g) {
-  const std::string canonical = lis::to_text(g);
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const char c : canonical) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;  // FNV-1a prime
-  }
+std::string canonical_fingerprint(std::string_view canonical_text) {
+  const std::uint64_t h = util::fnv1a64(canonical_text);
   static const char* digits = "0123456789abcdef";
   std::string out = "lis-";
   for (int shift = 60; shift >= 0; shift -= 4) out.push_back(digits[(h >> shift) & 0xF]);
   return out;
 }
+
+std::string fingerprint(const lis::LisGraph& g) { return canonical_fingerprint(lis::to_text(g)); }
 
 void write_certificate(JsonWriter& w, const Certificate& cert) {
   w.begin_object();

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lis/lis_graph.hpp"
@@ -92,9 +93,9 @@ enum class Kind { kAnalyze, kSizing };
 /// truncated set is detectable).
 struct Certificate {
   Kind kind = Kind::kAnalyze;
-  /// "lis-" + 16 hex FNV-1a 64 over the canonical netlist text — the same
-  /// recipe as serve::Registry::fingerprint, so a certificate is addressed by
-  /// the model it certifies.
+  /// fingerprint() of the certified netlist, the address a registered model
+  /// has in serve::Registry, so a certificate is addressed by the model it
+  /// certifies.
   std::string fingerprint;
   McmWitness ideal;
   McmWitness practical;  ///< kAnalyze only
@@ -108,9 +109,13 @@ struct Certificate {
   McmWitness achieved;
 };
 
-/// The canonical fingerprint of a netlist: FNV-1a 64 over lis::to_text(g),
-/// rendered "lis-" + 16 hex digits (byte-identical to
-/// serve::Registry::fingerprint of the canonical text).
+/// "lis-" + 16 hex digits of util::fnv1a64 over `canonical_text`, which
+/// must already be canonical (lis::to_text). serve::Registry::fingerprint
+/// is this function.
+std::string canonical_fingerprint(std::string_view canonical_text);
+
+/// The canonical fingerprint of a netlist: canonical_fingerprint of
+/// lis::to_text(g).
 std::string fingerprint(const lis::LisGraph& g);
 
 /// Serializes `cert` into `w` as one JSON object (float-free: rationals are

@@ -569,4 +569,15 @@ McmEvidence mcm_evidence(const MarkedGraph& g, OracleWorkspace& ws) {
   return ev;
 }
 
+std::optional<Rational> min_cycle_mean_karp(const MarkedGraph& g) {
+  std::optional<Rational> best;
+  const graph::SccPartition part = graph::scc(g.structure());
+  for (int c = 0; c < part.count; ++c) {
+    if (!part.is_cyclic(c, g.structure())) continue;
+    const Rational mean = karp_on_scc(make_local(g, part, c));
+    if (!best || mean < *best) best = mean;
+  }
+  return best;
+}
+
 }  // namespace lid::mg::oracle

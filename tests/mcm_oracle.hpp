@@ -2,10 +2,13 @@
 // the integer mean ranks of src/mg/mcm_kernel.hpp: a LocalScc with one
 // adjacency vector per node and Rational λ compared per edge. The bodies
 // here and in mcm_oracle.cpp are kept verbatim, renamespaced, as the oracle
-// that test_mcm_kernel compares the production kernel against.
+// that test_mcm_kernel compares the production kernel against. Karp's
+// algorithm lives only here: test_mg, test_edge_cases and lid_selfcheck
+// read it through min_cycle_mean_karp.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/scc.hpp"
@@ -104,5 +107,11 @@ struct OracleWorkspace {
 /// The old mg::min_cycle_mean_howard(g, ws, out) and mg::mcm_evidence(g, ws).
 bool min_cycle_mean_howard(const MarkedGraph& g, OracleWorkspace& ws, MeanCycle& out);
 McmEvidence mcm_evidence(const MarkedGraph& g, OracleWorkspace& ws);
+
+/// Minimum cycle mean of `g` by Karp's algorithm (karp_on_scc on every
+/// cyclic SCC), or nullopt if `g` is acyclic. The repo's one Karp: an
+/// independent cross-check for the tests and lid_selfcheck. Its per-SCC
+/// walk table costs O(V^2) memory, so keep it to small graphs.
+std::optional<util::Rational> min_cycle_mean_karp(const MarkedGraph& g);
 
 }  // namespace lid::mg::oracle

@@ -12,6 +12,7 @@
 #include "lis/netlist_io.hpp"
 #include "lis/paper_systems.hpp"
 #include "lis/protocol_sim.hpp"
+#include "mcm_oracle.hpp"
 #include "mg/mcm.hpp"
 #include "mg/simulate.hpp"
 #include "soc/cofdm.hpp"
@@ -121,7 +122,8 @@ TEST(EdgeCases, ParserSurvivesGarbage) {
 
 TEST(EdgeCases, HowardOnDenseTiedGraphs) {
   // Dense graphs with many equal-weight edges exercise policy-iteration tie
-  // handling (and its Karp fallback); all three methods must agree.
+  // handling; Howard must agree with Karp (tests/mcm_oracle) and its cycle
+  // must attain the mean.
   util::Rng rng(123);
   for (int trial = 0; trial < 40; ++trial) {
     mg::MarkedGraph g;
@@ -135,7 +137,7 @@ TEST(EdgeCases, HowardOnDenseTiedGraphs) {
       g.add_place(rng.uniform_int(0, n - 1), rng.uniform_int(0, n - 1),
                   rng.uniform_int(0, 1));
     }
-    const auto karp = mg::min_cycle_mean_karp(g);
+    const auto karp = mg::oracle::min_cycle_mean_karp(g);
     const auto howard = mg::min_cycle_mean_howard(g);
     ASSERT_TRUE(karp.has_value());
     ASSERT_TRUE(howard.has_value());

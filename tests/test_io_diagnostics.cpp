@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "core/diagnostics.hpp"
 #include "gen/generator.hpp"
 #include "lis/dot_export.hpp"
 #include "lis/netlist_io.hpp"
 #include "lis/paper_systems.hpp"
+#include "mg/mcm.hpp"
 #include "util/rng.hpp"
 
 namespace lid::lis {
@@ -165,6 +168,35 @@ TEST(Diagnostics, ExplainsTheFig5Cycle) {
 TEST(Diagnostics, CriticalCycleMeanMatchesPracticalMst) {
   const DegradationReport report = explain_degradation(lis::make_fig15_counterexample());
   EXPECT_EQ(util::Rational(report.cycle_tokens, report.cycle_places), report.theta_practical);
+}
+
+TEST(Diagnostics, RefusesADeadlockedDoubledGraph) {
+  // The facade's lint pre-flight rejects this netlist first; below it, the
+  // diagnosis refuses a token-free cycle itself, from a one-shot Howard
+  // solve and from an evidence pass alike.
+  const lis::LisGraph dead =
+      lis::from_text("core A\ncore B\nchannel A -> B q=0\nchannel B -> A q=0\n");
+  const lis::Expansion doubled = lis::expand_doubled(dead);
+  const auto refusal = [](const auto& explain) -> std::string {
+    try {
+      explain();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no refusal";
+  };
+  const auto from_evidence = [&] {
+    explain_practical(dead, doubled, mg::mcm_evidence(doubled.graph).critical);
+  };
+  for (const std::string& message :
+       {refusal([&] { explain_degradation(dead); }), refusal(from_evidence)}) {
+    EXPECT_EQ(message.rfind("precondition failed: (critical->mean.num() != 0) at ", 0), 0u)
+        << message;
+    const std::string tail =
+        " — explain_degradation: token-free cycle (deadlocked doubled graph)";
+    ASSERT_GE(message.size(), tail.size());
+    EXPECT_EQ(message.substr(message.size() - tail.size()), tail) << message;
+  }
 }
 
 }  // namespace

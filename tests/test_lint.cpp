@@ -630,13 +630,6 @@ TEST(Facade, SizeQueuesRejectsDeadlockedNetlistWithLintCode) {
   EXPECT_EQ(s.error().code, ErrorCode::kLint);
 }
 
-TEST(Facade, PreflightCanBeDisabledOnHealthyModels) {
-  const Instance two = Instance::wrap(lis::make_two_core_example());
-  AnalyzeOptions options;
-  options.preflight = false;
-  EXPECT_TRUE(analyze(two, options).ok());
-}
-
 TEST(Facade, LintReturnsTheFullReport) {
   const Instance two = Instance::wrap(lis::make_two_core_example(), "fig1");
   const Result<linter::Report> clean = lint(two);

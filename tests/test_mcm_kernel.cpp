@@ -4,8 +4,10 @@
 // mean, the critical cycle and the improvement-round count must agree
 // exactly, cold and warm. The public entry points (mcm_evidence and the
 // workspace-backed min_cycle_mean_howard) are compared the same way, and so
-// are the exact fallbacks no solve reaches in practice: Karp, the parametric
-// search, the tight-subgraph cycle and the Bellman-Ford potentials.
+// is the exact fallback no solve reaches in practice: the parametric search
+// (against the oracle's Karp up to 4,096 nodes), the tight-subgraph cycle and
+// the Bellman-Ford potentials, and mcm_evidence's Bellman-Ford repair of
+// Howard values past int64.
 //
 // Inputs: fig1, fig15, COFDM, the 20 corpus systems, 2,400 small generated
 // systems (general, pipelined, tree, cactus, mesh and torus shapes), 80 of
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -270,25 +273,16 @@ void compare_lazy_rounds(const lis::LisGraph& lis, const std::string& name, std:
   }
 }
 
-/// The exact fallbacks on every cyclic SCC of `g`: Karp and the parametric
-/// search agree with the oracle's and with Howard's minimum mean, the
-/// tight-subgraph cycle matches the oracle's and attains that mean, and the
-/// Bellman-Ford potentials match and are valid.
+/// The exact fallback on every cyclic SCC of `g`: its mean (the parametric
+/// search) equals Howard's and the oracle's (Karp up to 4,096 nodes, the
+/// parametric search above), its tight-subgraph cycle matches the oracle's
+/// and attains that mean, and the Bellman-Ford potentials match and are
+/// valid.
 void compare_exact(const MarkedGraph& g, const std::string& name) {
   kernel::HowardScratch sn;
   for (Pair& pair : pairs_of(g)) {
     WorkspaceStats stats;
     const Rational mean = kernel::howard(pair.view, pair.policy_new, sn, stats);
-    if (pair.view.n <= kernel::kKarpTableMaxNodes) {
-      // Above the table, exact_fallback_cycle below runs the parametric search.
-      const Rational karp = kernel::karp(pair.view);
-      EXPECT_EQ(karp, oracle::karp_on_scc(pair.local)) << name;
-      EXPECT_EQ(karp, mean) << name;
-      const Rational param = kernel::parametric(pair.view);
-      EXPECT_EQ(param, oracle::parametric_mcm(pair.local)) << name;
-      EXPECT_EQ(param, mean) << name;
-    }
-
     std::vector<PlaceId> cycle_new;
     std::vector<PlaceId> cycle_old;
     EXPECT_EQ(kernel::exact_fallback_cycle(pair.view, cycle_new), mean) << name;
@@ -467,8 +461,7 @@ TEST(McmKernel, ThirtyThousandCores) {
   EXPECT_LT(2 * work.stats.node_examinations, work.full_passes);
 }
 
-/// A ring of n transitions with chords: one SCC, larger than Karp's table
-/// allows, so the fallback takes the parametric search.
+/// A ring of n transitions with chords: one SCC.
 MarkedGraph ring_with_chords(int n, util::Rng& rng) {
   MarkedGraph g;
   for (int v = 0; v < n; ++v) g.add_transition(TransitionKind::kShell);
@@ -480,12 +473,14 @@ MarkedGraph ring_with_chords(int n, util::Rng& rng) {
   return g;
 }
 
-TEST(McmKernel, ExactFallbackAboveKarpTable) {
+TEST(McmKernel, ExactFallbackOnALargeRing) {
+  // One node more than the oracle's Karp table takes: both sides run the
+  // parametric search.
   util::Rng rng(11);
-  const MarkedGraph g = ring_with_chords(kernel::kKarpTableMaxNodes + 1, rng);
+  const MarkedGraph g = ring_with_chords(4097, rng);
   const graph::SccPartition part = graph::scc(g.structure());
   ASSERT_EQ(part.count, 1);
-  compare_exact(g, "ring above Karp's table");
+  compare_exact(g, "ring of 4,097 nodes");
 }
 
 TEST(McmKernel, ExactFallbackOnSmallRings) {
@@ -493,6 +488,46 @@ TEST(McmKernel, ExactFallbackOnSmallRings) {
   for (int k = 0; k < 50; ++k) {
     compare_exact(ring_with_chords(rng.uniform_int(2, 300), rng), "ring");
   }
+}
+
+/// mcm_evidence's Bellman-Ford repair: Howard converges, but a scaled value
+/// leaves int64, so the candidate potentials are refused and recomputed.
+/// A token ring 0 -> 1 -> ... -> 4 -> 0 (mean 1/5) with a detour 0 -> 5 -> 0
+/// whose way back carries 2·10^18 tokens: node 5's value is about 10^19.
+TEST(McmKernel, EvidenceRepairsValuesPastInt64) {
+  MarkedGraph g;
+  for (int v = 0; v < 6; ++v) g.add_transition(TransitionKind::kShell);
+  for (int v = 0; v < 5; ++v) g.add_place(v, (v + 1) % 5, v == 0 ? 1 : 0);
+  g.add_place(0, 5, 1);
+  g.add_place(5, 0, 2'000'000'000'000'000'000);
+
+  std::vector<Pair> pairs = pairs_of(g);
+  ASSERT_EQ(pairs.size(), 1U);
+  const kernel::SccView& view = pairs[0].view;
+  kernel::HowardScratch sc;
+  WorkspaceStats stats;
+  ASSERT_EQ(kernel::howard(view, pairs[0].policy_new, sc, stats), Rational(1, 5));
+  bool past_int64 = false;
+  for (int v = 0; v < view.n; ++v) {
+    const __int128 value = sc.value_s[static_cast<std::size_t>(v)];
+    past_int64 = past_int64 || value > std::numeric_limits<std::int64_t>::max() ||
+                 value < std::numeric_limits<std::int64_t>::min();
+  }
+  EXPECT_TRUE(past_int64) << "Howard's values fit int64: the repair is not reached";
+
+  const McmEvidence ev = mcm_evidence(g);
+  ASSERT_TRUE(ev.critical.has_value());
+  EXPECT_EQ(ev.critical->mean, Rational(1, 5));
+  ASSERT_EQ(ev.lambda.size(), 1U);
+  EXPECT_EQ(ev.lambda[0], Rational(1, 5));
+  const graph::SccPartition part = graph::scc(g.structure());
+  std::vector<std::int64_t> local(static_cast<std::size_t>(view.n));
+  for (int v = 0; v < view.n; ++v) {
+    local[static_cast<std::size_t>(v)] =
+        ev.potential[static_cast<std::size_t>(part.members[0][static_cast<std::size_t>(v)])];
+  }
+  EXPECT_TRUE(kernel::potentials_valid(view, 1, 5, local));
+  EXPECT_EQ(ev.potential, (std::vector<std::int64_t>{4, 0, 1, 2, 3, 0}));
 }
 
 }  // namespace

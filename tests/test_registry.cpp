@@ -15,6 +15,7 @@
 #include "serve/retry.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
+#include "util/file.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -134,6 +135,34 @@ TEST(Registry, FingerprintIgnoresWhitespaceAndComments) {
   EXPECT_NE(other->fingerprint, a->fingerprint);
   EXPECT_EQ(a->fingerprint.rfind("lis-", 0), 0u);
   EXPECT_EQ(a->fingerprint.size(), 4u + 16u);  // "lis-" + 16 hex digits
+}
+
+// A registered model is addressed by the fingerprint its certificates
+// carry: querying it for a certified analysis answers a certificate whose
+// `fingerprint` is the model's, on the paper systems, COFDM and the corpus.
+TEST(Registry, FingerprintIsTheCertificateFingerprint) {
+  std::vector<std::string> files = {"fig1.lis", "fig15.lis", "cofdm.lis"};
+  for (int i = 0; i < 20; ++i) files.push_back("corpus/sys" + std::to_string(i) + ".lis");
+  for (const std::string& file : files) {
+    std::string text;
+    ASSERT_EQ(util::read_file(std::string(LID_DATA_DIR) + "/" + file, text), util::ReadStatus::kOk)
+        << file;
+    serve::Registry registry;
+    const Result<serve::ModelInfo> info = registry.register_model(text);
+    ASSERT_TRUE(info.ok()) << file;
+    util::JsonWriter w;
+    w.begin_object().key("verb").value("analyze").key("model").value(info->fingerprint);
+    w.key("certify").value(true).end_object();
+    const serve::Outcome analyzed = run_line(w.str(), &registry);
+    ASSERT_TRUE(analyzed.ok) << file << ": " << analyzed.error_message;
+    const util::JsonParse payload = util::json_parse(analyzed.payload);
+    ASSERT_TRUE(payload.ok) << file;
+    const util::Json* certificate = payload.value.find("certificate");
+    ASSERT_NE(certificate, nullptr) << file;
+    const util::Json* fingerprint = certificate->find("fingerprint");
+    ASSERT_NE(fingerprint, nullptr) << file;
+    EXPECT_EQ(fingerprint->as_string(), info->fingerprint) << file;
+  }
 }
 
 TEST(Registry, LruEvictsColdestModelFirst) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/cycles.hpp"
 #include "serve/faults.hpp"
 #include "serve/histogram.hpp"
 #include "serve/protocol.hpp"
@@ -499,6 +500,7 @@ TEST(Server, StatsReportConfigurationAndCounters) {
   ASSERT_TRUE(server.start());
   serve::Session client = connect_or_die(server);
   ASSERT_TRUE(client.call(R"({"verb": "ping"})"));
+  const std::uint64_t enumerated = graph::enumerated_cycles();
   const Result<std::string> response = client.call(R"({"id": "s", "verb": "stats"})");
   ASSERT_TRUE(response);
   const Result<std::string> stats = serve::extract_result(*response);
@@ -507,6 +509,8 @@ TEST(Server, StatsReportConfigurationAndCounters) {
   EXPECT_NE(stats->find("\"queue_capacity\":17"), std::string::npos);
   EXPECT_NE(stats->find("\"verb_ping\":1"), std::string::npos);
   EXPECT_NE(stats->find("\"latency\""), std::string::npos);
+  EXPECT_NE(stats->find("\"cycles_enumerated\":" + std::to_string(enumerated)),
+            std::string::npos);
   server.stop();
 }
 
@@ -557,7 +561,8 @@ TEST(Protocol, CancelledSleepStopsWithinOneSlice) {
 /// Builds a size-queues request line for `netlist`.
 std::string size_queues_line(const std::string& netlist, const std::string& solver,
                              std::int64_t max_nodes, bool degrade_policy,
-                             double deadline_ms = 0.0, bool simplify = true) {
+                             double deadline_ms = 0.0, bool simplify = true,
+                             bool certify = false) {
   util::JsonWriter w;
   w.begin_object();
   w.key("id").value("sq");
@@ -567,6 +572,7 @@ std::string size_queues_line(const std::string& netlist, const std::string& solv
   w.key("solver").value(solver);
   if (max_nodes > 0) w.key("max_nodes").value(max_nodes);
   if (!simplify) w.key("simplify").value(false);
+  if (certify) w.key("certify").value(true);
   w.key("netlist").value(netlist);
   w.end_object();
   return w.str();
@@ -688,6 +694,100 @@ TEST(Protocol, DeadlineExpiredAtEntryHonorsPolicy) {
   const serve::Outcome heuristic = run_line(size_queues_line(netlist, "heuristic", 0, false));
   ASSERT_TRUE(heuristic.ok);
   EXPECT_EQ(rescued.payload, heuristic.payload);
+}
+
+/// `gen --v 400 --s 20 --c 40 --rs 80 --seed 6`: its lazy sizing under a
+/// one-unit exact budget ends unproven.
+Instance lazy_budget_fixture() {
+  GenerateOptions options;
+  options.cores = 400;
+  options.sccs = 20;
+  options.extra_cycles = 40;
+  options.relay_stations = 80;
+  options.seed = 6;
+  const Result<Instance> instance = generate(options);
+  EXPECT_TRUE(instance);
+  return *instance;
+}
+
+/// A certified sizing payload that reaches θ(G) and whose certificate the
+/// independent checker accepts on `instance`.
+::testing::AssertionResult on_target_and_certified(const std::string& payload,
+                                                   const Instance& instance) {
+  const util::JsonParse result = util::json_parse(payload);
+  if (!result.ok) return ::testing::AssertionFailure() << result.error;
+  const util::Json* ideal = result.value.find("theta_ideal");
+  const util::Json* achieved = result.value.find("achieved");
+  if (ideal == nullptr || achieved == nullptr || ideal->as_string() != achieved->as_string()) {
+    return ::testing::AssertionFailure() << "off target: " << payload.substr(0, 200);
+  }
+  const util::Json* certificate = result.value.find("certificate");
+  if (certificate == nullptr) return ::testing::AssertionFailure() << "no certificate";
+  const verify::CertificateParse parsed = verify::parse_certificate(*certificate);
+  if (!parsed) return ::testing::AssertionFailure() << parsed.error;
+  const verify::CheckResult checked = verify::check(instance.graph(), parsed.certificate);
+  if (!checked.ok) return ::testing::AssertionFailure() << checked.detail;
+  return ::testing::AssertionSuccess();
+}
+
+// A lazy request whose deadline passed before it started degrades to a lazy
+// run with a one-unit exact budget and no token: tagged, byte-identical to
+// the direct request with "max_nodes":1, on target, certified, and no cycle
+// enumerated.
+TEST(Protocol, ExpiredLazyDegradeRunsAOneUnitBudget) {
+  const Instance instance = lazy_budget_fixture();
+  const Result<std::string> netlist = netlist_text(instance);
+  ASSERT_TRUE(netlist);
+  serve::ExecContext expired;
+  expired.deadline_expired = true;
+  expired.cancel = util::CancelToken::after_ms(0.0);
+  const std::uint64_t enumerated = graph::enumerated_cycles();
+
+  const Result<serve::Request> strict =
+      serve::parse_request(size_queues_line(*netlist, "lazy", 0, false, 0.0, true, true));
+  ASSERT_TRUE(strict);
+  const serve::Outcome refused = serve::execute(*strict, {}, expired);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_EQ(refused.error_code, serve::codes::kDeadlineExceeded);
+
+  const Result<serve::Request> lenient =
+      serve::parse_request(size_queues_line(*netlist, "lazy", 0, true, 0.0, true, true));
+  ASSERT_TRUE(lenient);
+  const serve::Outcome rescued = serve::execute(*lenient, {}, expired);
+  ASSERT_TRUE(rescued.ok) << rescued.error_message;
+  EXPECT_TRUE(rescued.degraded);
+  const serve::Outcome direct =
+      run_line(size_queues_line(*netlist, "lazy", 1, false, 0.0, true, true));
+  ASSERT_TRUE(direct.ok) << direct.error_message;
+  EXPECT_FALSE(direct.degraded);
+  EXPECT_EQ(rescued.payload, direct.payload);
+  EXPECT_TRUE(on_target_and_certified(rescued.payload, instance));
+  EXPECT_EQ(graph::enumerated_cycles(), enumerated);
+}
+
+// A lazy request whose exact budget cuts its last round ends unproven but on
+// target; under "degrade" it keeps that payload, tagged, and enumerates no
+// cycle.
+TEST(Protocol, BudgetCutLazyDegradeKeepsItsPayload) {
+  const Instance instance = lazy_budget_fixture();
+  const Result<std::string> netlist = netlist_text(instance);
+  ASSERT_TRUE(netlist);
+  const std::uint64_t enumerated = graph::enumerated_cycles();
+
+  const serve::Outcome strict =
+      run_line(size_queues_line(*netlist, "lazy", 1, false, 0.0, true, true));
+  ASSERT_TRUE(strict.ok) << strict.error_message;
+  EXPECT_FALSE(strict.degraded);
+  ASSERT_NE(strict.payload.find("\"exact_proved\":false"), std::string::npos)
+      << "fixture must end unproven under a one-unit budget";
+
+  const serve::Outcome lenient =
+      run_line(size_queues_line(*netlist, "lazy", 1, true, 0.0, true, true));
+  ASSERT_TRUE(lenient.ok) << lenient.error_message;
+  EXPECT_TRUE(lenient.degraded);
+  EXPECT_EQ(lenient.payload, strict.payload);
+  EXPECT_TRUE(on_target_and_certified(lenient.payload, instance));
+  EXPECT_EQ(graph::enumerated_cycles(), enumerated);
 }
 
 // End-to-end over a real socket: a request whose deadline expires while

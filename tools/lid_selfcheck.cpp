@@ -4,8 +4,9 @@
 //
 // Generates random systems and checks, for each, every cross-cutting
 // invariant the library promises:
-//   1. Karp, Howard and brute-force cycle enumeration agree on the minimum
-//      cycle mean of the doubled graph;
+//   1. Karp (the test oracle's, tests/mcm_oracle), Howard and brute-force
+//      cycle enumeration agree on the minimum cycle mean of the doubled
+//      graph;
 //   2. the marked-graph simulator's sustained rate equals the practical MST;
 //   3. the protocol simulator fires the same shells in the same periods as
 //      the marked-graph semantics;
@@ -24,6 +25,9 @@
 //      "on_deadline":"degrade", the degraded payload is byte-identical to
 //      executing the same request with "solver":"heuristic" directly, and
 //      the heuristic total it reports bounds the exact optimum from above;
+//      a lazy request keeps its own (unproven) payload, and one whose
+//      deadline passed before it started answers the direct lazy payload
+//      under "max_nodes":1, without enumerating a cycle;
 //  10. lazy constraint generation is equivalent to the full pipeline: on
 //      every system, solver "lazy" reaches the same achieved MST as the
 //      enumerate-everything pipeline, and when both exact solves prove, the
@@ -72,6 +76,7 @@
 #include "graph/cycles.hpp"
 #include "lis/netlist_io.hpp"
 #include "lis/protocol_sim.hpp"
+#include "mcm_oracle.hpp"
 #include "mg/analysis.hpp"
 #include "mg/mcm.hpp"
 #include "mg/simulate.hpp"
@@ -120,7 +125,7 @@ bool check_one(std::uint64_t trial_seed, bool verbose) {
 
   // (1) analytic agreement on the doubled graph.
   const lis::Expansion doubled = lis::expand_doubled(system);
-  const auto karp = mg::min_cycle_mean_karp(doubled.graph);
+  const auto karp = mg::oracle::min_cycle_mean_karp(doubled.graph);
   const auto howard = mg::min_cycle_mean_howard(doubled.graph);
   CHECK_OR_FAIL(karp.has_value() == howard.has_value(), "karp/howard cyclicity");
   if (karp) {
@@ -464,11 +469,14 @@ bool check_registry(std::uint64_t trial_seed) {
   return true;
 }
 
-// Invariant (9): graceful degradation is honest. Requests that trip a
+// Invariant (9): graceful degradation is honest. Eager requests that trip a
 // 1-node exact budget with "on_deadline":"degrade" must answer with a
 // payload byte-identical to direct heuristic execution, tagged degraded in
 // the envelope only; and the heuristic total always upper-bounds the exact
-// optimum (when the latter is provable with a generous budget).
+// optimum (when the latter is provable with a generous budget). Lazy
+// requests never reach the enumerator: under a 1-node budget they answer
+// their "error"-policy payload (tagged iff unproven), and past their
+// deadline the direct payload under "max_nodes":1, tagged.
 bool check_degrade(std::uint64_t trial_seed) {
   util::Rng rng(trial_seed);
   // Four random systems, plus a fixed one whose UNSIMPLIFIED TD instance has
@@ -525,11 +533,33 @@ bool check_degrade(std::uint64_t trial_seed) {
       w.end_object();
       return w.str();
     };
-    const auto execute_line = [](const std::string& line) -> serve::Outcome {
+    const auto execute_line = [](const std::string& line,
+                                 const serve::ExecContext& context = {}) -> serve::Outcome {
       const Result<serve::Request> request = serve::parse_request(line);
       if (!request) return serve::Outcome::failure("parse_error", request.error().message);
-      return serve::execute(*request);
+      return serve::execute(*request, {}, context);
     };
+
+    // The lazy cases: no cycle enumerated, and the payloads of direct
+    // requests.
+    const std::uint64_t enumerated = graph::enumerated_cycles();
+    const serve::Outcome lazy_strict = execute_line(request_line("lazy", false, 1));
+    CHECK_OR_FAIL(lazy_strict.ok && !lazy_strict.degraded, "degrade: lazy probe succeeds");
+    const bool lazy_unproven =
+        lazy_strict.payload.find("\"exact_proved\":false") != std::string::npos;
+    const serve::Outcome lazy_lenient = execute_line(request_line("lazy", true, 1));
+    CHECK_OR_FAIL(lazy_lenient.ok, "degrade: lazy degraded execution succeeds");
+    CHECK_OR_FAIL(lazy_lenient.degraded == lazy_unproven, "degrade: lazy tag iff unproven");
+    CHECK_OR_FAIL(lazy_lenient.payload == lazy_strict.payload,
+                  "degrade: lazy keeps its unproven payload");
+    serve::ExecContext expired;
+    expired.deadline_expired = true;
+    const serve::Outcome lazy_late = execute_line(request_line("lazy", true, 0), expired);
+    CHECK_OR_FAIL(lazy_late.ok && lazy_late.degraded, "degrade: late lazy request degrades");
+    CHECK_OR_FAIL(lazy_late.payload == lazy_strict.payload,
+                  "degrade: late lazy payload == direct max_nodes 1 payload");
+    CHECK_OR_FAIL(graph::enumerated_cycles() == enumerated,
+                  "degrade: lazy degrade enumerates no cycle");
 
     // Probe with policy "error" first: its legacy payload says whether a
     // 1-node budget actually fails the proof on this instance (trivial

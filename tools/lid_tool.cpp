@@ -226,7 +226,10 @@ int cmd_size(const util::Cli& cli) {
     if (sizing.exact_total >= 0) {
       // An unproven lazy sizing still reaches its target: only its last
       // round's sub-solve ran out of budget and kept the heuristic's cover.
+      // An eager optimum over a truncated enumeration covers only the
+      // cycles found.
       const char* unproven = sizing.solver_lazy ? "  (unproven: the last round's budget ran out)"
+                             : sizing.truncated ? "  (unproven: cycle enumeration truncated)"
                                                 : "  (timed out — heuristic fallback)";
       std::cout << "exact:     " << sizing.exact_total << " extra slot(s)"
                 << (sizing.exact_proved ? "" : unproven) << "\n";
